@@ -2,6 +2,7 @@
 //! the previous reply arrived, checks every reply, and (in a traced run)
 //! records spans around each layer call.
 
+use crate::speed::Speed;
 use crate::trace::Tracer;
 use crate::workload::{Check, Op, Plan, Read, Workload, EVENTS_PER_WRITE};
 use gridfed_core::grid::{Grid, GridQuery};
@@ -11,8 +12,9 @@ use gridfed_sqlkit::{build_plan, execute_select, optimize, SelectStmt};
 use gridfed_storage::Value;
 use std::time::Instant;
 
-/// A p99 needs at least this many reads: an untraced time-bounded loop
-/// keeps going past its deadline until it has them.
+/// A p99 needs at least this many reads behind it: an untraced
+/// time-bounded loop keeps going past its deadline until it has them, and
+/// the report fails a run whose quantiles rest on fewer.
 pub const MIN_READS: usize = 1_000;
 /// Replication pumps one write may take before it counts as failed.
 const MAX_PUMPS: usize = 64;
@@ -159,9 +161,10 @@ pub struct TraceExtras {
 pub struct Sample {
     /// Index of the read's shape in [`Workload::shapes`].
     pub shape: usize,
+    /// When the read was sent, seconds on the run's [`Speed`] clock.
+    pub at: f64,
+    /// Wall time of the call, µs.
     pub us: f64,
-    /// Index of the operation in the timed loop.
-    pub op: usize,
 }
 
 /// What one run of a plan produced.
@@ -169,13 +172,14 @@ pub struct Sample {
 pub struct Outcome {
     /// Every timed read that succeeded.
     pub reads: Vec<Sample>,
-    /// Wall time (ms) and machine CPU steal (ticks) per write cycle.
-    pub writes: Vec<(f64, u64)>,
-    /// Machine CPU steal (ticks) seen over each timed-loop operation.
-    pub op_steal: Vec<u64>,
-    /// Completion time (s since the loop started) of every operation the
-    /// timed loop completed: reads, plus writes on ingest.
-    pub op_end_s: Vec<f64>,
+    /// Every write cycle that succeeded: when it began (seconds on the
+    /// run's [`Speed`] clock) and its wall time (ms).
+    pub writes: Vec<(f64, f64)>,
+    /// Every operation of the timed loop: when it was sent and the seconds
+    /// until its reply was checked. Throughput is operations over their sum.
+    pub busy: Vec<(f64, f64)>,
+    /// Operations the timed loop completed: reads, plus writes on ingest.
+    pub ops: usize,
     pub loop_s: f64,
     pub attempted: usize,
     pub failed: usize,
@@ -291,30 +295,15 @@ fn write_cycle(grid: &Grid, rec: &mut Rec) -> Result<(u64, u64), String> {
     })
 }
 
-/// CPU time the machine's hypervisor took from this guest so far, in clock
-/// ticks (the `steal` column of `/proc/stat`); 0 where it is not reported.
-pub fn steal_ticks() -> u64 {
-    std::fs::read_to_string("/proc/stat")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .next()
-                .and_then(|l| l.split_whitespace().nth(8))
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or(0)
-}
-
-/// A write cycle with its wall time (ms) and the steal ticks it saw.
-fn timed_write(grid: &Grid, rec: &mut Rec) -> (Result<(u64, u64), String>, (f64, u64)) {
-    let steal0 = steal_ticks();
+/// A write cycle with its wall time (ms).
+fn timed_write(grid: &Grid, rec: &mut Rec) -> (Result<(u64, u64), String>, f64) {
     let t0 = Instant::now();
     let res = write_cycle(grid, rec);
     let ms = t0.elapsed().as_secs_f64() * 1e3;
     if let Some(t) = rec.tracer.as_deref_mut() {
         t.end(rec.root);
     }
-    (res, (ms, steal_ticks().saturating_sub(steal0)))
+    (res, ms)
 }
 
 /// Run one read, traced or not.
@@ -427,8 +416,9 @@ fn read_once(
 }
 
 /// Run `plan` on `grid`: warm-up, then the closed loop through at least
-/// one pass and, for cycling plans, on until `deadline_s` has passed and
-/// the untraced loop has [`MIN_READS`] reads.
+/// one pass and, for cycling plans, on until `deadline_s` has passed. The
+/// untraced loop also runs on until it has sent [`MIN_READS`] reads.
+/// Between operations, `speed` times its kernel when one is due.
 pub fn drive(
     workload: Workload,
     grid: &Grid,
@@ -436,6 +426,7 @@ pub fn drive(
     deadline_s: f64,
     mut tracer: Option<&mut Tracer>,
     probe: Option<&Probe>,
+    speed: &mut Speed,
 ) -> Outcome {
     let min_reads = if tracer.is_some() { 0 } else { MIN_READS };
     let mut out = Outcome::default();
@@ -455,16 +446,19 @@ pub fn drive(
     }
     let mut events = workload.seeded_events();
     let pass = plan.sequence.len();
+    // Reads sent by the timed loop, failed ones included.
+    let mut timed_reads = 0;
     let start = Instant::now();
-    let mut steal = steal_ticks();
     let mut i = 0;
     loop {
         if i >= pass
             && (!plan.cycles
-                || (out.reads.len() >= min_reads && start.elapsed().as_secs_f64() >= deadline_s))
+                || (start.elapsed().as_secs_f64() >= deadline_s && timed_reads >= min_reads))
         {
             break;
         }
+        speed.calibrate_if_due();
+        let at = speed.now();
         let counting = i < pass;
         let mut rec = Rec {
             root: 0,
@@ -492,23 +486,38 @@ pub fn drive(
                 if let Ok(q) = &res {
                     out.reads.push(Sample {
                         shape: shape_idx(read),
+                        at,
                         us,
-                        op: i,
                     });
                     if counting {
                         out.counts.add_read(q);
                     }
                 }
                 out.check(res.map(drop));
+                timed_reads += 1;
             }
             Op::Write => {
                 if let Some(t) = rec.tracer.as_deref_mut() {
                     rec.root = t.begin(i as u64, "write");
                 }
-                let (res, timing) = timed_write(grid, &mut rec);
+                let (res, ms) = timed_write(grid, &mut rec);
+                // The probe grid takes the same write, untimed and outside
+                // the spans, so its calls see the data the measured grid has.
+                let res = match probe {
+                    Some(p) => res.and_then(|r| {
+                        let mut untraced = Rec {
+                            root: 0,
+                            tracer: None,
+                        };
+                        write_cycle(p.grid, &mut untraced)
+                            .map(|_| r)
+                            .map_err(|e| format!("probe grid: {e}"))
+                    }),
+                    None => res,
+                };
                 if let Ok((records, views)) = &res {
                     events += EVENTS_PER_WRITE;
-                    out.writes.push(timing);
+                    out.writes.push((at, ms));
                     out.counts.writes += 1;
                     out.counts.repl_records += records;
                     out.counts.repl_views += views;
@@ -516,67 +525,12 @@ pub fn drive(
                 out.check(res.map(drop));
             }
         }
-        out.op_end_s.push(start.elapsed().as_secs_f64());
-        let now_steal = steal_ticks();
-        out.op_steal.push(now_steal.saturating_sub(steal));
-        steal = now_steal;
+        out.busy.push((at, speed.now() - at));
         i += 1;
     }
+    out.ops = i;
     out.loop_s = start.elapsed().as_secs_f64();
     out
-}
-
-/// One stretch of the timed loop: the latencies of its reads that saw no
-/// CPU steal, and the operations completed over the same stretch.
-pub struct Segment {
-    pub reads_us: Vec<f64>,
-    /// Operations completed over the segment, and its wall time.
-    pub ops: usize,
-    pub secs: f64,
-    /// Machine CPU steal over the segment, ticks per second.
-    pub steal_per_s: f64,
-}
-
-/// Cut the timed loop into consecutive segments of `size` reads; a short
-/// tail joins the last segment. Segments let the report set aside the
-/// stretches where the machine took the CPU away.
-pub fn segments(out: &Outcome, size: usize) -> Vec<Segment> {
-    let mut bounds: Vec<usize> = (0..out.reads.len() / size.max(1))
-        .map(|k| k * size)
-        .collect();
-    if bounds.is_empty() {
-        bounds.push(0);
-    }
-    bounds.push(out.reads.len());
-    let mut segs = Vec::new();
-    for w in bounds.windows(2) {
-        let (lo, hi) = (w[0], w[1]);
-        if hi == lo {
-            continue;
-        }
-        // Operations are sequential, so the ops completed in a segment are
-        // the op-index distance from the previous segment's last read.
-        let first_op = if lo == 0 { 0 } else { out.reads[lo - 1].op + 1 };
-        let last_op = out.reads[hi - 1].op;
-        let t0 = if lo == 0 {
-            0.0
-        } else {
-            out.op_end_s[first_op - 1]
-        };
-        let t1 = out.op_end_s[last_op];
-        let stolen = |r: &&Sample| out.op_steal[r.op] > 0;
-        segs.push(Segment {
-            reads_us: out.reads[lo..hi]
-                .iter()
-                .filter(|r| !stolen(r))
-                .map(|r| r.us)
-                .collect(),
-            ops: last_op + 1 - first_op,
-            secs: t1 - t0,
-            steal_per_s: out.op_steal[first_op..=last_op].iter().sum::<u64>() as f64 / (t1 - t0),
-        });
-    }
-    segs
 }
 
 /// Write cycles after the timed reads of a read-only workload, so that
@@ -587,8 +541,11 @@ pub fn probe_writes(
     writes: usize,
     mut tracer: Option<&mut Tracer>,
     out: &mut Outcome,
+    speed: &mut Speed,
 ) {
     for w in 0..writes {
+        speed.calibrate_if_due();
+        let at = speed.now();
         let mut rec = Rec {
             root: 0,
             tracer: tracer.as_deref_mut(),
@@ -596,9 +553,9 @@ pub fn probe_writes(
         if let Some(t) = rec.tracer.as_deref_mut() {
             rec.root = t.begin((1 << 32) + w as u64, "write");
         }
-        let (res, timing) = timed_write(grid, &mut rec);
+        let (res, ms) = timed_write(grid, &mut rec);
         if res.is_ok() {
-            out.writes.push(timing);
+            out.writes.push((at, ms));
         }
         out.check(res.map(drop));
     }
@@ -630,8 +587,9 @@ pub fn final_checks(workload: Workload, grid: &Grid, out: &mut Outcome) {
 /// Checks made before timing; they fill in expected row counts.
 ///
 /// - `federated_mix`: a sample of the distjoin statements (and Fig-6
-///   joins, which also ship reductions) must equal full scatter on
-///   `control`, a grid built with `set_distjoin(false)`.
+///   joins, which also ship reductions), the first the sequence sends,
+///   must equal full scatter on `control`, a grid built with
+///   `set_distjoin(false)`.
 /// - `analytic_scan`: every single-database statement must equal direct
 ///   `execute_select` on the mart's database; join3 must return one row per
 ///   event passing its filter, counted directly on the mart.
@@ -646,7 +604,7 @@ pub fn prechecks(
         Workload::FederatedMix => {
             let control = control.expect("federated_mix has a control grid");
             let mut per_shape = std::collections::BTreeMap::new();
-            for read in &plan.reads {
+            for read in plan.sent().map(|r| &plan.reads[r]) {
                 let taken = per_shape.entry(read.shape.name()).or_insert(0);
                 if !read.sql.contains("JOIN") || *taken >= 8 {
                     continue;

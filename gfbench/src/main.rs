@@ -15,23 +15,21 @@
 //! fails. See `gfbench/README.md` for the metric definitions.
 
 mod drive;
+mod speed;
 mod trace;
 mod workload;
 
-use drive::{Counts, Outcome, Probe};
+use drive::{Counts, Outcome, Probe, MIN_READS};
+use speed::{Speed, REFERENCE_KERNEL_US};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 use trace::Tracer;
-use workload::{Workload, ALL_SHAPES, PROBE_WRITES};
-
-/// Reads per segment of the timed loop. Short segments let the calm
-/// selection find the quiet stretches between bursts of CPU steal.
-const SEGMENT_READS: usize = 200;
+use workload::{Workload, ALL_SHAPES};
 
 /// Grids built per run to take the median build time.
-const SETUP_BUILDS: usize = 3;
+const SETUP_BUILDS: usize = 9;
 
 struct Args {
     workload: String,
@@ -169,19 +167,24 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// From every `group` consecutive `items`, the ones the machine disturbed
-/// least: those whose CPU steal equals the group's minimum. A hypervisor
-/// that takes the CPU away inflates wall time without the program doing
-/// more work, and comparing commits needs undisturbed figures. Picking per
-/// group keeps the selection spread evenly over the run, so it stays fair
-/// where the run is not stationary (ingest writes grow the warehouse).
-fn calm<T>(items: &[T], group: usize, steal: impl Fn(&T) -> f64) -> Vec<&T> {
-    let mut kept = Vec::new();
-    for chunk in items.chunks(group) {
-        let least = chunk.iter().map(&steal).fold(f64::INFINITY, f64::min);
-        kept.extend(chunk.iter().filter(|x| steal(x) <= least));
+/// Run this thread, and every thread it spawns afterwards, on the one CPU
+/// it is on now; returns that CPU. On a shared machine the hypervisor
+/// schedules each virtual CPU on its own, so a reply that waits for a
+/// branch thread woken on another CPU waits on that CPU's neighbours too.
+/// On one CPU, thread hand-offs stay local and the figures repeat.
+fn pin_to_current_cpu() -> Option<usize> {
+    extern "C" {
+        fn sched_getcpu() -> i32;
+        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
     }
-    kept
+    // SAFETY: both calls take plain values; the mask outlives the call and
+    // its size is passed with it.
+    let cpu = usize::try_from(unsafe { sched_getcpu() }).ok()?;
+    let mut mask = [0u64; 16];
+    *mask.get_mut(cpu / 64)? |= 1 << (cpu % 64);
+    // SAFETY: `mask` is a live array and its byte length is passed with it.
+    let rc = unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
+    (rc == 0).then_some(cpu)
 }
 
 /// Peak resident set of this process, MB.
@@ -224,89 +227,111 @@ fn run_untraced(
     seed: u64,
     seconds: u64,
     budget_s: f64,
+    speed: &mut Speed,
 ) -> (Outcome, gridfed_core::Grid) {
     let mut checks = Outcome::default();
     let (grid, plan) = prepare(wl, seed, seconds, &mut checks);
-    let mut out = drive::drive(wl, &grid, &plan, budget_s, None, None);
+    let mut out = drive::drive(wl, &grid, &plan, budget_s, None, None, speed);
     out.attempted += checks.attempted;
     out.failed += checks.failed;
     out.failures.extend(checks.failures);
     (out, grid)
 }
 
+/// Read latencies of a run, µs: wall time, and scaled by the machine
+/// speed around each read.
+fn read_times(out: &Outcome, speed: &Speed) -> (Vec<f64>, Vec<f64>) {
+    let wall = out.reads.iter().map(|r| r.us).collect();
+    let scaled = out
+        .reads
+        .iter()
+        .map(|r| r.us * speed.factor(r.at))
+        .collect();
+    (wall, scaled)
+}
+
+/// Closed-loop throughput of a run, operations per second: over wall
+/// time, and over time scaled by the machine speed.
+fn throughput(out: &Outcome, speed: &Speed) -> (f64, f64) {
+    let wall: f64 = out.busy.iter().map(|b| b.1).sum();
+    let scaled: f64 = out.busy.iter().map(|b| b.1 * speed.factor(b.0)).sum();
+    (out.ops as f64 / wall, out.ops as f64 / scaled)
+}
+
 fn end_to_end(wl: Workload, args: &Args) -> Report {
     let mut report = Report::default();
+    let mut speed = Speed::new();
     let mut builds = Vec::new();
     for _ in 0..SETUP_BUILDS {
+        speed.calibrate();
+        let at = speed.now();
         let t = Instant::now();
         let grid = wl.builder().build();
-        builds.push(t.elapsed().as_secs_f64());
+        builds.push((at, t.elapsed().as_secs_f64()));
         if let Err(e) = grid {
             report.fail(format!("GridBuilder::build: {e}"));
         }
     }
-    let (mut out, grid) = run_untraced(wl, args.seed, args.seconds, args.seconds as f64);
-    if wl != Workload::IngestDashboard {
-        drive::probe_writes(&grid, PROBE_WRITES, None, &mut out);
-    }
+    speed.calibrate();
+    let (mut out, grid) =
+        run_untraced(wl, args.seed, args.seconds, args.seconds as f64, &mut speed);
+    drive::probe_writes(&grid, wl.probe_writes(), None, &mut out, &mut speed);
+    speed.calibrate();
     drive::final_checks(wl, &grid, &mut out);
     report.absorb(&out);
 
     let c = &out.counts;
-    let all_segs = drive::segments(&out, SEGMENT_READS);
-    let steal: Vec<f64> = all_segs.iter().map(|g| g.steal_per_s).collect();
-    let segs: Vec<&drive::Segment> = calm(&all_segs, 3, |g| g.steal_per_s);
-    let calm_us: Vec<f64> = segs
-        .iter()
-        .flat_map(|g| g.reads_us.iter().copied())
-        .collect();
-    let calm_qps =
-        segs.iter().map(|g| g.ops).sum::<usize>() as f64 / segs.iter().map(|g| g.secs).sum::<f64>();
-    let writes_ms: Vec<f64> = calm(&out.writes, 2, |w| w.1 as f64)
-        .iter()
-        .map(|w| w.0)
-        .collect();
+    if out.reads.len() < MIN_READS {
+        report.fail(format!(
+            "the read quantiles rest on {} reads, fewer than {MIN_READS}",
+            out.reads.len()
+        ));
+    }
     report.notes.push(format!(
-        "closed loop, 1 client: {} ops in {:.3} s, {} timed reads in {} segments ({} calm), {} writes ({} calm); counts digest {}",
-        out.op_end_s.len(),
+        "closed loop, 1 client: {} ops in {:.3} s, {} timed reads behind the quantiles; {} writes; counts digest {}",
+        out.ops,
         out.loop_s,
         out.reads.len(),
-        all_segs.len(),
-        segs.len(),
         out.writes.len(),
-        writes_ms.len(),
         c.digest()
     ));
-    let stolen = out.reads.len() - all_segs.iter().map(|g| g.reads_us.len()).sum::<usize>();
+    if wl == Workload::FederatedMix {
+        let plan = workload::plan(wl, args.seed, args.seconds);
+        let mut sent: Vec<usize> = plan.sent().collect();
+        sent.sort_unstable();
+        sent.dedup();
+        report.notes.push(format!(
+            "{} distinct statements sent, of a universe of {}",
+            sent.len(),
+            plan.reads.len()
+        ));
+    }
+    let (wall_us, scaled_us) = read_times(&out, &speed);
+    let (wall_qps, scaled_qps) = throughput(&out, &speed);
+    let wall_writes: Vec<f64> = out.writes.iter().map(|w| w.1).collect();
+    let scaled_writes: Vec<f64> = out.writes.iter().map(|w| w.1 * speed.factor(w.0)).collect();
+    let wall_builds: Vec<f64> = builds.iter().map(|b| b.1).collect();
+    let scaled_builds: Vec<f64> = builds.iter().map(|b| b.1 * speed.factor(b.0)).collect();
     report.notes.push(format!(
-        "{stolen} reads saw CPU steal and are left out; the latency quantiles cover {} reads",
-        calm_us.len()
+        "machine speed: calibration kernel median {:.0} us over the run (reference {REFERENCE_KERNEL_US:.0} us); the times below are scaled to the reference",
+        speed.median_kernel_us()
     ));
-    let show = |v: &[f64]| {
-        v.iter()
-            .map(|x| format!("{x:.0}"))
-            .collect::<Vec<_>>()
-            .join(" ")
-    };
-    report
-        .notes
-        .push(format!("segment steal ticks/s: {}", show(&steal)));
     report.notes.push(format!(
-        "segment p50 us: {}",
-        show(
-            &all_segs
-                .iter()
-                .map(|g| quantile(&g.reads_us, 0.5))
-                .collect::<Vec<_>>()
-        )
+        "unscaled wall: query p50 {:.1} us, p99 {:.1} us, {:.2} ops/s, write p50 {:.2} ms, p90 {:.2} ms, setup {:.4} s",
+        quantile(&wall_us, 0.5),
+        quantile(&wall_us, 0.99),
+        wall_qps,
+        quantile(&wall_writes, 0.5),
+        quantile(&wall_writes, 0.9),
+        quantile(&wall_builds, 0.5)
     ));
-    report.put("query_p50_us", quantile(&calm_us, 0.5), "us");
-    report.put("query_p99_us", quantile(&calm_us, 0.99), "us");
-    report.put("throughput_qps", calm_qps, "1/s");
+    report.put("query_p50_us", quantile(&scaled_us, 0.5), "us");
+    report.put("query_p99_us", quantile(&scaled_us, 0.99), "us");
+    report.put("throughput_qps", scaled_qps, "1/s");
     report.put("virtual_mean_ms", ratio(c.virtual_us, c.reads) / 1e3, "ms");
-    report.put("write_p50_ms", quantile(&writes_ms, 0.5), "ms");
-    report.put("write_p90_ms", quantile(&writes_ms, 0.9), "ms");
-    report.put("setup_s", quantile(&builds, 0.5), "s");
+    report.put("write_p50_ms", quantile(&scaled_writes, 0.5), "ms");
+    report.put("write_p90_ms", quantile(&scaled_writes, 0.9), "ms");
+    report.put("setup_s", quantile(&scaled_builds, 0.5), "s");
     report.put("peak_rss_mb", peak_rss_mb(), "MB");
     report
 }
@@ -316,7 +341,8 @@ fn per_layer(wl: Workload, args: &Args) -> Report {
     let half = args.seconds as f64 / 2.0;
 
     // Untraced reference: the same operations, no spans, no extra calls.
-    let (plain, _) = run_untraced(wl, args.seed, args.seconds, half);
+    let mut plain_speed = Speed::new();
+    let (plain, _) = run_untraced(wl, args.seed, args.seconds, half, &mut plain_speed);
     report.absorb(&plain);
 
     // Traced: a fresh grid sees the identical call sequence; the extra
@@ -327,10 +353,23 @@ fn per_layer(wl: Workload, args: &Args) -> Report {
     let probe_grid = wl.builder().build().expect("probe grid builds");
     let probe = Probe::new(&probe_grid, &plan.reads);
     let mut tracer = Tracer::new();
-    let mut out = drive::drive(wl, &grid, &plan, half, Some(&mut tracer), Some(&probe));
-    if wl != Workload::IngestDashboard {
-        drive::probe_writes(&grid, PROBE_WRITES, Some(&mut tracer), &mut out);
-    }
+    let mut speed = Speed::new();
+    let mut out = drive::drive(
+        wl,
+        &grid,
+        &plan,
+        half,
+        Some(&mut tracer),
+        Some(&probe),
+        &mut speed,
+    );
+    drive::probe_writes(
+        &grid,
+        wl.probe_writes(),
+        Some(&mut tracer),
+        &mut out,
+        &mut speed,
+    );
     drive::final_checks(wl, &grid, &mut out);
     report.absorb(&out);
     if plain.counts != out.counts {
@@ -475,7 +514,7 @@ fn per_layer(wl: Workload, args: &Args) -> Report {
                 .reads
                 .iter()
                 .filter(|r| r.shape == idx)
-                .map(|r| r.us)
+                .map(|r| r.us * plain_speed.factor(r.at))
                 .collect(),
             None => Vec::new(),
         };
@@ -485,7 +524,7 @@ fn per_layer(wl: Workload, args: &Args) -> Report {
             "us",
         );
     }
-    let plain_us: Vec<f64> = plain.reads.iter().map(|r| r.us).collect();
+    let (plain_us, _) = read_times(&plain, &plain_speed);
     let traced_us: Vec<f64> = out.reads.iter().map(|r| r.us).collect();
     report.put(
         "trace.overhead.query_p50_us",
@@ -493,6 +532,17 @@ fn per_layer(wl: Workload, args: &Args) -> Report {
         "us",
     );
     report.put("trace.request.self.p50_us", p50("request", "*"), "us");
+    report.put("wall.query_p50_us", quantile(&plain_us, 0.5), "us");
+    report.put(
+        "wall.throughput_qps",
+        throughput(&plain, &plain_speed).0,
+        "1/s",
+    );
+    report.put(
+        "machine.kernel.p50_us",
+        plain_speed.median_kernel_us(),
+        "us",
+    );
 
     let path =
         PathBuf::from("gfbench/out").join(format!("spans-{}-seed{}.jsonl", wl.name(), args.seed));
@@ -518,9 +568,10 @@ fn per_layer(wl: Workload, args: &Args) -> Report {
 /// the next seed sends different SQL and passes the same checks.
 fn selfcheck(wl: Workload, args: &Args) -> Report {
     let mut report = Report::default();
-    let (a, _) = run_untraced(wl, args.seed, args.seconds, 0.0);
-    let (b, _) = run_untraced(wl, args.seed, args.seconds, 0.0);
-    let (other, _) = run_untraced(wl, args.seed + 1, args.seconds, 0.0);
+    let mut speed = Speed::new();
+    let (a, _) = run_untraced(wl, args.seed, args.seconds, 0.0, &mut speed);
+    let (b, _) = run_untraced(wl, args.seed, args.seconds, 0.0, &mut speed);
+    let (other, _) = run_untraced(wl, args.seed + 1, args.seconds, 0.0, &mut speed);
     for out in [&a, &b, &other] {
         report.absorb(out);
     }
@@ -529,7 +580,7 @@ fn selfcheck(wl: Workload, args: &Args) -> Report {
     }
     let sql = |seed| {
         let p = workload::plan(wl, seed, args.seconds);
-        p.reads.iter().map(|r| r.sql.clone()).collect::<Vec<_>>()
+        p.sent().map(|r| p.reads[r].sql.clone()).collect::<Vec<_>>()
     };
     if sql(args.seed) == sql(args.seed + 1) {
         report.fail("seeds n and n+1 generated the same SQL".into());
@@ -568,6 +619,13 @@ fn main() -> ExitCode {
             }
         }
     };
+    match pin_to_current_cpu() {
+        Some(cpu) => println!("gfbench: process pinned to CPU {cpu}"),
+        None => println!("gfbench: could not pin the process to one CPU"),
+    }
+    // With several workloads the JSON line sums the checks of all of them
+    // and carries no metrics: each workload's figures are in its report.
+    let single = workloads.len() == 1;
     let mut last = Report::default();
     let mut all_ok = true;
     for wl in workloads {
@@ -582,7 +640,9 @@ fn main() -> ExitCode {
         all_ok &= report.failed == 0;
         last.attempted += report.attempted;
         last.failed += report.failed;
-        last.metrics = report.metrics;
+        if single {
+            last.metrics = report.metrics;
+        }
     }
     println!("{}", last.json());
     if all_ok {

@@ -13,11 +13,11 @@ pub const EVENTS_PER_WRITE: usize = 20;
 /// Ingest operations per second of `--seconds`: the operation count is
 /// fixed by the command line, never by how fast the machine runs.
 pub const INGEST_OPS_PER_SECOND: usize = 1000;
+/// Fewest ingest operations a run makes, whatever `--seconds` says: enough
+/// reads that a p99 rests on well over the 1,000 reads it needs.
+pub const INGEST_MIN_OPS: usize = 4000;
 /// One ingest operation in this many is a write (a 1% write share).
 pub const INGEST_WRITE_EVERY: usize = 100;
-/// Write cycles the read-only workloads run after their timed reads, so
-/// every workload reports the write metrics.
-pub const PROBE_WRITES: usize = 12;
 
 /// A benchmark workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,6 +65,18 @@ impl Workload {
         match self {
             Workload::AnalyticScan => 20_000,
             _ => 2_600,
+        }
+    }
+
+    /// Write cycles a read-only workload runs after its timed reads, so
+    /// every workload reports the write metrics: enough that a p90 rests
+    /// on several writes, fewer where one cycle refreshes a 20,000-event
+    /// warehouse.
+    pub fn probe_writes(self) -> usize {
+        match self {
+            Workload::FederatedMix => 60,
+            Workload::AnalyticScan => 30,
+            Workload::IngestDashboard => 0,
         }
     }
 
@@ -213,6 +225,16 @@ pub struct Plan {
     pub cycles: bool,
 }
 
+impl Plan {
+    /// Indices into `reads` of the reads one pass sends, in order.
+    pub fn sent(&self) -> impl Iterator<Item = usize> + '_ {
+        self.sequence.iter().filter_map(|op| match op {
+            Op::Read(r) => Some(*r),
+            Op::Write => None,
+        })
+    }
+}
+
 /// SplitMix64: a small, fixed generator so a seed means the same SQL on
 /// every platform and toolchain.
 pub struct Rng(u64);
@@ -261,81 +283,70 @@ const T1_DIST3: &str = "SELECT e.e_id, s.n_meas, c.avg_weight, d.mean_value \
      JOIN detector_summary d ON c.detector = d.detector";
 const DETECTORS: [&str; 4] = ["ecal", "hcal", "tracker", "muon"];
 
-/// Per-pass request counts of the federated mix. The shares put the mix
-/// median inside the tight Table-1 row-3 cluster (about 44% of reads are
-/// faster, 36% slower), not on the gap between two shapes' latencies, where
-/// it would jump from run to run.
-const MIX: [(Shape, usize); 6] = [
-    (Shape::T1Local, 200),
-    (Shape::T1Dist2, 150),
-    (Shape::T1Dist3, 200),
-    (Shape::Fig6Join, 300),
-    (Shape::DistjoinSel2, 50),
-    (Shape::DistjoinSel4, 100),
-];
+/// Reads per pass of the federated mix, drawn uniformly with replacement
+/// from [`federated_universe`].
+pub const MIX_PASS: usize = 3000;
 
 /// Events per run in the paper grid (26 runs over 2,600 events).
 const EVENTS_PER_RUN: usize = 100;
 
-fn federated_mix(rng: &mut Rng) -> Vec<Read> {
+/// Every statement the federated mix can send, each once: Table-1 rows
+/// 1–3 with `e_id < n` for n in [10, 110), Fig-6 joins with n in
+/// [21, 2551], and both distjoin selective shapes over every run range one
+/// or two runs wide — 2,929 distinct statements.
+pub fn federated_universe() -> Vec<Read> {
     let mut reads = Vec::new();
-    for (shape, count) in MIX {
-        for i in 0..count {
-            reads.push(match shape {
-                Shape::T1Local | Shape::T1Dist2 | Shape::T1Dist3 => {
-                    let n = rng.stratum(i, count, 10, 110);
-                    let (sql, servers, distributed, tables) = match shape {
-                        Shape::T1Local => (
-                            format!("SELECT e_id, energy FROM ntuple_events WHERE e_id < {n}"),
-                            1,
-                            false,
-                            1,
-                        ),
-                        Shape::T1Dist2 => (format!("{T1_DIST2} WHERE e.e_id < {n}"), 1, true, 2),
-                        _ => (format!("{T1_DIST3} WHERE e.e_id < {n}"), 2, true, 4),
-                    };
-                    Read {
-                        shape,
-                        sql,
-                        check: Check::Table1 {
-                            servers,
-                            distributed,
-                            tables,
-                            rows: n,
-                        },
-                    }
-                }
-                Shape::Fig6Join => {
-                    let n = rng.stratum(i, count, 21, 2552);
-                    Read {
-                        shape,
-                        sql: format!(
-                            "SELECT e.e_id, e.energy, s.avg_value FROM ntuple_events e \
-                             JOIN run_summary s ON e.run_id = s.run_id WHERE e.e_id < {n}"
-                        ),
-                        check: Check::Rows(n),
-                    }
-                }
-                _ => {
-                    // The distjoin selective shapes: the filter lands on the
-                    // small run_summary side, so a reduction ships its keys.
-                    let width = 1 + i % 2;
-                    let lo = rng.range(0, 26 - width);
-                    let base = if shape == Shape::DistjoinSel2 {
-                        T1_DIST2
-                    } else {
-                        T1_DIST3
-                    };
-                    Read {
-                        shape,
-                        sql: format!(
-                            "{base} WHERE s.run_id >= {lo} AND s.run_id < {} ORDER BY e.e_id",
-                            lo + width
-                        ),
-                        check: Check::Rows(width * EVENTS_PER_RUN),
-                    }
-                }
+    for shape in [Shape::T1Local, Shape::T1Dist2, Shape::T1Dist3] {
+        for n in 10..110 {
+            let (sql, servers, distributed, tables) = match shape {
+                Shape::T1Local => (
+                    format!("SELECT e_id, energy FROM ntuple_events WHERE e_id < {n}"),
+                    1,
+                    false,
+                    1,
+                ),
+                Shape::T1Dist2 => (format!("{T1_DIST2} WHERE e.e_id < {n}"), 1, true, 2),
+                _ => (format!("{T1_DIST3} WHERE e.e_id < {n}"), 2, true, 4),
+            };
+            reads.push(Read {
+                shape,
+                sql,
+                check: Check::Table1 {
+                    servers,
+                    distributed,
+                    tables,
+                    rows: n,
+                },
             });
+        }
+    }
+    for n in 21..=2551 {
+        reads.push(Read {
+            shape: Shape::Fig6Join,
+            sql: format!(
+                "SELECT e.e_id, e.energy, s.avg_value FROM ntuple_events e \
+                 JOIN run_summary s ON e.run_id = s.run_id WHERE e.e_id < {n}"
+            ),
+            check: Check::Rows(n),
+        });
+    }
+    // The distjoin selective shapes: the filter lands on the small
+    // run_summary side, so a reduction ships its keys.
+    for (shape, base) in [
+        (Shape::DistjoinSel2, T1_DIST2),
+        (Shape::DistjoinSel4, T1_DIST3),
+    ] {
+        for width in 1..=2 {
+            for lo in 0..26 - width {
+                reads.push(Read {
+                    shape,
+                    sql: format!(
+                        "{base} WHERE s.run_id >= {lo} AND s.run_id < {} ORDER BY e.e_id",
+                        lo + width
+                    ),
+                    check: Check::Rows(width * EVENTS_PER_RUN),
+                });
+            }
         }
     }
     reads
@@ -410,10 +421,13 @@ fn analytic_scan(rng: &mut Rng) -> Vec<Read> {
 fn ingest_dashboard(rng: &mut Rng) -> Vec<Read> {
     let mut reads = Vec::new();
     for variant in 0..2 {
-        let k = 4 + 8 * variant + rng.range(0, 8);
-        let n = 10 + 40 * variant + rng.range(0, 40);
-        let limit = 5 + 10 * variant + rng.range(0, 10);
-        let run = 13 * variant + rng.range(0, 13);
+        // Narrow ranges: a seed changes the SQL but barely the size of the
+        // results a cache hit copies, so the read figures measure the
+        // grid, not the seed.
+        let k = 6 + 8 * variant + rng.range(0, 3);
+        let n = 25 + 40 * variant + rng.range(0, 8);
+        let limit = 8 + 10 * variant + rng.range(0, 3);
+        let run = 5 + 13 * variant + rng.range(0, 3);
         let single = [
             // COUNT(*) (with a variant-specific spelling) and MAX(e_id)
             // watch freshness: they must move with every write.
@@ -485,13 +499,13 @@ fn ingest_dashboard(rng: &mut Rng) -> Vec<Read> {
 pub fn plan(workload: Workload, seed: u64, seconds: u64) -> Plan {
     let mut rng = Rng::new(seed);
     let reads = match workload {
-        Workload::FederatedMix => federated_mix(&mut rng),
+        Workload::FederatedMix => federated_universe(),
         Workload::AnalyticScan => analytic_scan(&mut rng),
         Workload::IngestDashboard => ingest_dashboard(&mut rng),
     };
     match workload {
         Workload::IngestDashboard => {
-            let ops = INGEST_OPS_PER_SECOND * seconds as usize;
+            let ops = (INGEST_OPS_PER_SECOND * seconds as usize).max(INGEST_MIN_OPS);
             let sequence = (0..ops)
                 .map(|i| {
                     if i % INGEST_WRITE_EVERY == INGEST_WRITE_EVERY - 1 {
@@ -508,18 +522,25 @@ pub fn plan(workload: Workload, seed: u64, seconds: u64) -> Plan {
                 cycles: false,
             }
         }
-        _ => {
-            let mut sequence: Vec<Op> = (0..reads.len()).map(Op::Read).collect();
-            rng.shuffle(&mut sequence);
-            let warmup = if workload == Workload::FederatedMix {
-                200
-            } else {
-                20
-            };
+        Workload::FederatedMix => {
+            // Every statement of the universe is equally likely.
+            let sequence = (0..MIX_PASS)
+                .map(|_| Op::Read(rng.range(0, reads.len())))
+                .collect();
             Plan {
                 reads,
                 sequence,
-                warmup,
+                warmup: 200,
+                cycles: true,
+            }
+        }
+        Workload::AnalyticScan => {
+            let mut sequence: Vec<Op> = (0..reads.len()).map(Op::Read).collect();
+            rng.shuffle(&mut sequence);
+            Plan {
+                reads,
+                sequence,
+                warmup: 20,
                 cycles: true,
             }
         }
