@@ -10,8 +10,10 @@ verify: build test chaos obs profile marts repl stress distjoin lint fmt bench-s
 build:
 	cargo build --release
 
+# Every test of every workspace crate (a bare `cargo test` runs only the
+# root `gridfed` package).
 test:
-	cargo test -q
+	cargo test -q --workspace
 
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings

@@ -2,54 +2,53 @@
 //!
 //! After the sub-queries return, "the data retrieved through each of the
 //! sub-queries is finally merged into a single 2-D vector, and returned to
-//! the client" (§4.6). Integration loads each partial into an in-memory
-//! staging database and runs the *residual* logical plan over it with the
-//! `sqlkit` plan executor — cross-database joins, residual predicates,
-//! aggregation, ordering, and limits all fall out of the same engine that
-//! powers the backends. The residual plan's scans are blanked (no filters,
-//! no projection) because the backends already applied the pushed-down
-//! work; what remains is exactly the mediator's share.
+//! the client" (§4.6). Each sub-query's result arrives as a columnar
+//! [`Partial`]: owned, typed column chunks with their null bitmaps, gathered
+//! by the backend straight out of its tables. Integration moves those chunks
+//! into tables (no copy, no row) and runs the *residual* logical plan over
+//! them in place with the `sqlkit` plan executor — cross-database joins,
+//! residual predicates, aggregation, ordering, and limits all fall out of
+//! the same engine that powers the backends. The residual plan's scans are
+//! blanked (no filters, no projection) because the backends already applied
+//! the pushed-down work; what remains is exactly the mediator's share. Rows
+//! are built once, at the residual plan's output for the client.
+//!
+//! Rows turn into columns in only two places, both decoding input from a
+//! peer mediator: `service::wire_to_partial` (a remote branch's result) and
+//! `obswire::wire_to_monitor_partials`. Both type every column before
+//! building it and reject a ragged row or a mixed-type column with a typed
+//! error.
 
 use crate::decompose;
 use crate::error::CoreError;
 use crate::Result;
 use gridfed_sqlkit::ast::{ColumnRef, ScalarFunc};
 use gridfed_sqlkit::bloom::BloomFilter;
-use gridfed_sqlkit::exec::{execute_plan_metered, DatabaseProvider};
+use gridfed_sqlkit::exec::{execute_plan_metered, ProviderCatalog, TableProvider};
 use gridfed_sqlkit::plan::LogicalPlan;
-use gridfed_sqlkit::{Expr, ResultSet};
-use gridfed_storage::{normalize_ident, ColumnDef, DataType, Database, Row, Schema, Value};
+use gridfed_sqlkit::{ColumnarResult, Expr, ResultSet, SqlError};
+use gridfed_storage::{normalize_ident, Row, Schema, StorageError, Table, Value};
 use std::time::{Duration, Instant};
 
-/// One fetched partial result: the table name it answers for, plus rows.
+/// One fetched partial result: the table name it answers for, plus its
+/// typed columns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Partial {
     /// Table name as spelled in the client query.
     pub table: String,
-    /// Column names of the partial.
-    pub columns: Vec<String>,
-    /// Typed rows.
-    pub rows: Vec<Row>,
+    /// The partial's columns, as the backend (or peer) handed them over.
+    pub data: ColumnarResult,
 }
 
 impl Partial {
-    /// Build from a [`ResultSet`].
-    pub fn from_result(table: impl Into<String>, rs: ResultSet) -> Partial {
-        Partial {
-            table: table.into(),
-            columns: rs.columns,
-            rows: rs.rows,
-        }
-    }
-
     /// Exact wire size of the partial as the Clarens codec encodes it
     /// (`result_to_wire(..).encode().len()`): the outer two-element list,
     /// the column-name list, and one list per row. Keeping this identical
     /// to the transfer encoding means `bytes_fetched` and `bytes_saved`
     /// measure the same quantity.
     pub fn wire_size(&self) -> usize {
-        let columns: usize = self.columns.iter().map(|c| 5 + c.len()).sum();
-        let rows: usize = self.rows.iter().map(|r| 5 + r.wire_size()).sum();
+        let columns: usize = self.data.columns().iter().map(|c| 5 + c.len()).sum();
+        let rows = 5 * self.data.len() + self.data.values_wire_size();
         5 + (5 + columns) + (5 + rows)
     }
 }
@@ -61,16 +60,14 @@ impl Partial {
 pub fn reduction_keys(partial: &Partial, column: &str) -> Option<Vec<Value>> {
     let want = normalize_ident(column);
     let idx = partial
-        .columns
+        .data
+        .columns()
         .iter()
         .position(|c| normalize_ident(c) == want)?;
-    let mut keys: Vec<Value> = partial
-        .rows
-        .iter()
-        .filter_map(|row| {
-            let v = row.values().get(idx)?;
-            (!v.is_null()).then(|| v.clone())
-        })
+    let chunk = &partial.data.chunks()[idx];
+    let mut keys: Vec<Value> = (0..partial.data.len())
+        .filter(|&p| !chunk.is_null(p))
+        .map(|p| chunk.value_at(p))
         .collect();
     keys.sort_by(|a, b| a.index_cmp(b));
     keys.dedup_by(|a, b| a.sql_cmp(b) == Some(std::cmp::Ordering::Equal));
@@ -122,49 +119,20 @@ pub fn reduction_predicate(column: &str, keys: &[Value]) -> Expr {
     }
 }
 
-/// Infer a permissive (all-nullable) schema for a partial: column type =
-/// first non-null value's type, FLOAT as the numeric fallback; INT columns
-/// are widened to FLOAT if any value is FLOAT.
-fn infer_schema(partial: &Partial) -> Result<Schema> {
-    let mut types: Vec<Option<DataType>> = vec![None; partial.columns.len()];
-    for row in &partial.rows {
-        for (i, v) in row.values().iter().enumerate() {
-            let Some(vt) = v.data_type() else { continue };
-            match types[i] {
-                None => types[i] = Some(vt),
-                Some(DataType::Int) if vt == DataType::Float => types[i] = Some(DataType::Float),
-                Some(DataType::Float) if vt == DataType::Int => {}
-                Some(t) if t == vt => {}
-                Some(t) => {
-                    return Err(CoreError::Internal(format!(
-                        "partial `{}` column `{}` mixes {t} and {vt}",
-                        partial.table, partial.columns[i]
-                    )))
-                }
-            }
-        }
-    }
-    let cols = partial
-        .columns
-        .iter()
-        .zip(&types)
-        .map(|(name, ty)| ColumnDef::new(name.clone(), ty.unwrap_or(DataType::Float)))
-        .collect();
-    Schema::new(cols).map_err(CoreError::from)
-}
-
 /// Wall-clock split of one integration run: how long the residual plan's
 /// expressions took to compile (one-shot column binding, literal folding)
-/// versus everything else — staging-table load plus per-row evaluation.
+/// versus everything else — wrapping the partials' columns as tables plus
+/// evaluation over them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IntegrateMetrics {
     /// Time inside `sqlkit::compile` lowering expressions to positions.
     pub compile: Duration,
-    /// Remaining integration time (staging load + compiled evaluation).
+    /// Remaining integration time (wrapping the partials as tables, which
+    /// moves their chunks, plus compiled evaluation over them in place).
     pub eval: Duration,
     /// 1024-row batch windows the vectorized residual executor processed.
     pub batches: u64,
-    /// Rows scanned out of the staging tables.
+    /// Rows scanned out of the partials.
     pub rows_scanned: u64,
     /// Rows surviving residual predicate evaluation.
     pub rows_selected: u64,
@@ -178,57 +146,84 @@ pub struct IntegrateMetrics {
 }
 
 impl IntegrateMetrics {
-    /// Fill the batch counters from the executor's accounting.
-    fn with_exec(mut self, exec: &gridfed_sqlkit::ExecMetrics) -> IntegrateMetrics {
-        self.batches = exec.batches;
-        self.rows_scanned = exec.rows_scanned;
-        self.rows_selected = exec.rows_selected;
-        self.rows_materialized = exec.rows_materialized;
-        self.workers = exec.workers;
-        self.morsels = exec.morsels;
-        self
+    /// The split and counters of one residual execution that started at
+    /// `start`.
+    fn of(start: Instant, exec: &gridfed_sqlkit::ExecMetrics) -> IntegrateMetrics {
+        IntegrateMetrics {
+            compile: exec.compile,
+            eval: start.elapsed().saturating_sub(exec.compile),
+            batches: exec.batches,
+            rows_scanned: exec.rows_scanned,
+            rows_selected: exec.rows_selected,
+            rows_materialized: exec.rows_materialized,
+            workers: exec.workers,
+            morsels: exec.morsels,
+        }
+    }
+}
+
+/// The residual plan's tables: each partial's chunks moved into a
+/// [`Table`] under its normalized name, scanned in place through
+/// [`TableProvider::table_columnar`].
+struct PartialTables(Vec<Table>);
+
+impl PartialTables {
+    fn new(partials: Vec<Partial>) -> Result<PartialTables> {
+        let mut tables: Vec<Table> = Vec::with_capacity(partials.len());
+        for p in partials {
+            let name = normalize_ident(&p.table);
+            if tables.iter().any(|t| t.name() == name) {
+                return Err(StorageError::TableExists(p.table).into());
+            }
+            let rows = p.data.len();
+            let (columns, chunks) = p.data.into_parts();
+            tables.push(Table::from_chunks(name, columns, chunks, rows)?);
+        }
+        Ok(PartialTables(tables))
+    }
+
+    fn get(&self, name: &str) -> gridfed_sqlkit::Result<&Table> {
+        let key = normalize_ident(name);
+        self.0
+            .iter()
+            .find(|t| t.name() == key)
+            .ok_or_else(|| SqlError::UnknownTable(name.to_string()))
+    }
+}
+
+impl TableProvider for PartialTables {
+    fn table_schema(&self, name: &str) -> gridfed_sqlkit::Result<Schema> {
+        Ok(self.get(name)?.schema().clone())
+    }
+
+    fn table_rows(&self, name: &str) -> gridfed_sqlkit::Result<Vec<Row>> {
+        Ok(self.get(name)?.rows())
+    }
+
+    fn table_row_count(&self, name: &str) -> Option<u64> {
+        self.get(name).ok().map(|t| t.len() as u64)
+    }
+
+    fn table_columnar(&self, name: &str) -> Option<&Table> {
+        self.get(name).ok()
     }
 }
 
 /// Integrate partials by executing the residual `plan` over them.
-pub fn integrate(plan: &LogicalPlan, partials: &[Partial]) -> Result<ResultSet> {
+pub fn integrate(plan: &LogicalPlan, partials: Vec<Partial>) -> Result<ResultSet> {
     integrate_metered(plan, partials).map(|(rs, _)| rs)
-}
-
-/// Load partials into the in-memory staging database the residual plan
-/// runs over.
-fn stage(partials: &[Partial]) -> Result<Database> {
-    let mut staging = Database::new("mediator_staging");
-    for p in partials {
-        let schema = infer_schema(p)?;
-        let table = staging.create_table(p.table.clone(), schema)?;
-        for row in &p.rows {
-            // Coerce INT→FLOAT where inference widened the column.
-            let values: Vec<Value> = row.values().to_vec();
-            table.insert(values)?;
-        }
-    }
-    Ok(staging)
 }
 
 /// [`integrate`], additionally reporting the compile/eval wall-clock split
 /// so the service can surface it in `QueryStats`.
 pub fn integrate_metered(
     plan: &LogicalPlan,
-    partials: &[Partial],
+    partials: Vec<Partial>,
 ) -> Result<(ResultSet, IntegrateMetrics)> {
     let start = Instant::now();
-    let staging = stage(partials)?;
-    let (rs, exec) =
-        execute_plan_metered(plan, &DatabaseProvider(&staging)).map_err(CoreError::from)?;
-    let total = start.elapsed();
-    let metrics = IntegrateMetrics {
-        compile: exec.compile,
-        eval: total.saturating_sub(exec.compile),
-        ..IntegrateMetrics::default()
-    }
-    .with_exec(&exec);
-    Ok((rs, metrics))
+    let tables = PartialTables::new(partials)?;
+    let (rs, exec) = execute_plan_metered(plan, &tables).map_err(CoreError::from)?;
+    Ok((rs, IntegrateMetrics::of(start, &exec)))
 }
 
 /// One residual-plan node's actuals from an analyzed integration, in a
@@ -275,32 +270,21 @@ fn flatten_profile(
 
 /// [`integrate_metered`] with `EXPLAIN ANALYZE` profiling: also returns
 /// the residual tree annotated per node with row estimates (from the
-/// staged partials' real cardinalities) and actual rows/loops/time, plus
-/// the same actuals flattened into [`NodeActual`]s for the statement
-/// profile store.
+/// partials' real cardinalities) and actual rows/loops/time, plus the same
+/// actuals flattened into [`NodeActual`]s for the statement profile store.
 pub fn integrate_analyzed(
     plan: &LogicalPlan,
-    partials: &[Partial],
+    partials: Vec<Partial>,
 ) -> Result<(ResultSet, IntegrateMetrics, String, Vec<NodeActual>)> {
-    use gridfed_sqlkit::exec::ProviderCatalog;
-
     let start = Instant::now();
-    let staging = stage(partials)?;
-    let provider = DatabaseProvider(&staging);
+    let tables = PartialTables::new(partials)?;
     let (rs, exec, profile) =
-        gridfed_sqlkit::analyze::execute_plan_analyzed(plan, &provider).map_err(CoreError::from)?;
-    let catalog = ProviderCatalog(&provider);
-    let annotated = gridfed_sqlkit::analyze::annotate(plan, Some(&catalog), Some(&profile));
+        gridfed_sqlkit::analyze::execute_plan_analyzed(plan, &tables).map_err(CoreError::from)?;
+    let annotated =
+        gridfed_sqlkit::analyze::annotate(plan, Some(&ProviderCatalog(&tables)), Some(&profile));
     let mut actuals = Vec::new();
     flatten_profile(plan, &profile, &mut 0, &mut actuals);
-    let total = start.elapsed();
-    let metrics = IntegrateMetrics {
-        compile: exec.compile,
-        eval: total.saturating_sub(exec.compile),
-        ..IntegrateMetrics::default()
-    }
-    .with_exec(&exec);
-    Ok((rs, metrics, annotated, actuals))
+    Ok((rs, IntegrateMetrics::of(start, &exec), annotated, actuals))
 }
 
 /// Compact one-line rendering of a plan's operator tree, e.g.
@@ -321,28 +305,42 @@ mod tests {
     use super::*;
     use gridfed_sqlkit::parser::parse_select;
     use gridfed_sqlkit::plan::build_plan;
+    use gridfed_storage::{ColumnDef, DataType, Database};
 
-    fn events_partial() -> Partial {
+    /// A partial from test rows (tests transpose; production partials
+    /// arrive as columns).
+    fn partial(table: &str, columns: &[&str], rows: Vec<Vec<Value>>) -> Partial {
         Partial {
-            table: "events".into(),
-            columns: vec!["e_id".into(), "run_id".into(), "energy".into()],
-            rows: vec![
-                Row::new(vec![Value::Int(1), Value::Int(10), Value::Float(5.0)]),
-                Row::new(vec![Value::Int(2), Value::Int(10), Value::Float(50.0)]),
-                Row::new(vec![Value::Int(3), Value::Int(20), Value::Float(70.0)]),
-            ],
+            table: table.into(),
+            data: ColumnarResult::from_rows(
+                columns.iter().map(|c| c.to_string()).collect(),
+                rows.into_iter().map(Row::new).collect(),
+            )
+            .unwrap(),
         }
     }
 
-    fn runs_partial() -> Partial {
-        Partial {
-            table: "runs".into(),
-            columns: vec!["run_id".into(), "detector".into()],
-            rows: vec![
-                Row::new(vec![Value::Int(10), Value::Text("ecal".into())]),
-                Row::new(vec![Value::Int(20), Value::Text("hcal".into())]),
+    fn events_partial() -> Partial {
+        partial(
+            "events",
+            &["e_id", "run_id", "energy"],
+            vec![
+                vec![Value::Int(1), Value::Int(10), Value::Float(5.0)],
+                vec![Value::Int(2), Value::Int(10), Value::Float(50.0)],
+                vec![Value::Int(3), Value::Int(20), Value::Float(70.0)],
             ],
-        }
+        )
+    }
+
+    fn runs_partial() -> Partial {
+        partial(
+            "runs",
+            &["run_id", "detector"],
+            vec![
+                vec![Value::Int(10), Value::Text("ecal".into())],
+                vec![Value::Int(20), Value::Text("hcal".into())],
+            ],
+        )
     }
 
     #[test]
@@ -352,7 +350,7 @@ mod tests {
              WHERE e.energy > 10.0 ORDER BY e.e_id",
         )
         .unwrap();
-        let rs = integrate(&build_plan(&stmt), &[events_partial(), runs_partial()]).unwrap();
+        let rs = integrate(&build_plan(&stmt), vec![events_partial(), runs_partial()]).unwrap();
         assert_eq!(rs.len(), 2);
         assert_eq!(rs.rows[0].values()[1], Value::Text("ecal".into()));
         assert_eq!(rs.rows[1].values()[1], Value::Text("hcal".into()));
@@ -365,54 +363,26 @@ mod tests {
              ON e.run_id = r.run_id GROUP BY r.detector ORDER BY r.detector",
         )
         .unwrap();
-        let rs = integrate(&build_plan(&stmt), &[events_partial(), runs_partial()]).unwrap();
+        let rs = integrate(&build_plan(&stmt), vec![events_partial(), runs_partial()]).unwrap();
         assert_eq!(rs.len(), 2);
         assert_eq!(rs.rows[0].values()[1], Value::Int(2));
     }
 
     #[test]
-    fn all_null_column_defaults_to_float() {
-        let p = Partial {
-            table: "t".into(),
-            columns: vec!["a".into()],
-            rows: vec![Row::new(vec![Value::Null])],
-        };
-        let stmt = parse_select("SELECT a FROM t").unwrap();
-        let rs = integrate(&build_plan(&stmt), &[p]).unwrap();
-        assert_eq!(rs.len(), 1);
-        assert!(rs.rows[0].values()[0].is_null());
-    }
-
-    #[test]
-    fn mixed_numeric_column_widens() {
-        let p = Partial {
-            table: "t".into(),
-            columns: vec!["a".into()],
-            rows: vec![
-                Row::new(vec![Value::Int(1)]),
-                Row::new(vec![Value::Float(2.5)]),
-            ],
-        };
-        let stmt = parse_select("SELECT a FROM t ORDER BY a").unwrap();
-        let rs = integrate(&build_plan(&stmt), &[p]).unwrap();
-        assert_eq!(rs.len(), 2);
-    }
-
-    #[test]
-    fn incompatible_types_rejected() {
-        let p = Partial {
-            table: "t".into(),
-            columns: vec!["a".into()],
-            rows: vec![
-                Row::new(vec![Value::Int(1)]),
-                Row::new(vec![Value::Text("x".into())]),
-            ],
-        };
-        let stmt = parse_select("SELECT a FROM t").unwrap();
-        assert!(matches!(
-            integrate(&build_plan(&stmt), &[p]),
-            Err(CoreError::Internal(_))
-        ));
+    fn partial_tables_are_case_insensitive_and_unique() {
+        let stmt = parse_select("SELECT e_id FROM EVENTS WHERE run_id = 20").unwrap();
+        let rs = integrate(&build_plan(&stmt), vec![events_partial()]).unwrap();
+        assert_eq!(rs.rows, vec![Row::new(vec![Value::Int(3)])]);
+        let twice = integrate(&build_plan(&stmt), vec![events_partial(), events_partial()]);
+        assert!(
+            matches!(
+                twice,
+                Err(CoreError::Sql(SqlError::Storage(
+                    StorageError::TableExists(_)
+                )))
+            ),
+            "{twice:?}"
+        );
     }
 
     #[test]
@@ -423,12 +393,13 @@ mod tests {
         let shape = plan_shape(&plan);
         assert!(shape.contains("scan"), "shape={shape}");
         assert!(shape.contains('('), "nested operators render as a tree");
-        let (rs, _, annotated, actuals) = integrate_analyzed(&plan, &[events_partial()]).unwrap();
+        let (rs, _, annotated, actuals) =
+            integrate_analyzed(&plan, vec![events_partial()]).unwrap();
         assert_eq!(rs.len(), 2);
         assert!(annotated.contains("(act"), "{annotated}");
         assert!(!actuals.is_empty());
         // Same query again: identical node labels (shape-stable keys).
-        let (_, _, _, again) = integrate_analyzed(&plan, &[events_partial()]).unwrap();
+        let (_, _, _, again) = integrate_analyzed(&plan, vec![events_partial()]).unwrap();
         let labels: Vec<&str> = actuals.iter().map(|a| a.node.as_str()).collect();
         let labels2: Vec<&str> = again.iter().map(|a| a.node.as_str()).collect();
         assert_eq!(labels, labels2);
@@ -442,7 +413,7 @@ mod tests {
              WHERE a.e_id < b.e_id",
         )
         .unwrap();
-        let rs = integrate(&build_plan(&stmt), &[events_partial()]).unwrap();
+        let rs = integrate(&build_plan(&stmt), vec![events_partial()]).unwrap();
         assert_eq!(rs.len(), 1); // (1,2) within run 10
     }
 
@@ -452,67 +423,93 @@ mod tests {
         // same bytes the Clarens codec actually puts on the wire, across
         // every value type — including NULLs and Bytes (which cross
         // rendered as a hex string).
-        let p = Partial {
-            table: "t".into(),
-            columns: vec![
-                "id".into(),
-                "name".into(),
-                "x".into(),
-                "ok".into(),
-                "raw".into(),
-            ],
-            rows: vec![
-                Row::new(vec![
+        let exact = |p: &Partial| {
+            let rs = p.data.clone().into_result_set();
+            assert_eq!(
+                p.wire_size(),
+                crate::service::result_to_wire(&rs).encode().len(),
+                "{p:?}"
+            );
+        };
+        exact(&partial(
+            "t",
+            &["id", "name", "x", "ok", "raw"],
+            vec![
+                vec![
                     Value::Int(7),
                     Value::Text("aliquippa".into()),
                     Value::Float(1.25),
                     Value::Bool(true),
                     Value::Bytes(vec![0xde, 0xad, 0xbe]),
-                ]),
-                Row::new(vec![
+                ],
+                vec![
                     Value::Null,
                     Value::Text(String::new()),
                     Value::Null,
                     Value::Bool(false),
                     Value::Bytes(Vec::new()),
-                ]),
+                ],
             ],
-        };
-        let rs = ResultSet {
-            columns: p.columns.clone(),
-            rows: p.rows.clone(),
-        };
-        let encoded = crate::service::result_to_wire(&rs).encode();
-        assert_eq!(p.wire_size(), encoded.len());
+        ));
 
-        // Degenerate shapes stay exact too.
-        let empty = Partial {
-            table: "t".into(),
-            columns: vec!["only".into()],
-            rows: Vec::new(),
-        };
-        let rs = ResultSet {
-            columns: empty.columns.clone(),
-            rows: Vec::new(),
-        };
-        assert_eq!(
-            empty.wire_size(),
-            crate::service::result_to_wire(&rs).encode().len()
-        );
+        // Columns as a backend hands them over: gathered out of a table's
+        // chunks, so the string column keeps the source dictionary (with
+        // repeats, and with strings the selection dropped) and every type
+        // carries NULLs.
+        let mut db = Database::new("mart");
+        let schema = Schema::new(vec![
+            ColumnDef::new("id", DataType::Int),
+            ColumnDef::new("det", DataType::Text),
+            ColumnDef::new("x", DataType::Float),
+            ColumnDef::new("ok", DataType::Bool),
+            ColumnDef::new("raw", DataType::Bytes),
+        ])
+        .unwrap();
+        let t = db.create_table("hits", schema).unwrap();
+        for i in 0..40i64 {
+            let null = i % 5 == 4;
+            let pick = |v: Value| if null { Value::Null } else { v };
+            t.insert(vec![
+                pick(Value::Int(i)),
+                pick(Value::Text(
+                    ["barrel", "endcap", "forward"][i as usize % 3].into(),
+                )),
+                pick(Value::Float(i as f64 / 4.0)),
+                pick(Value::Bool(i % 2 == 0)),
+                pick(Value::Bytes(vec![i as u8; i as usize % 4])),
+            ])
+            .unwrap();
+        }
+        let provider = gridfed_sqlkit::DatabaseProvider(&db);
+        for sql in [
+            "SELECT id, det, x, ok, raw FROM hits",
+            "SELECT det, raw FROM hits WHERE det <> 'forward'",
+            "SELECT * FROM hits WHERE id < 0",
+        ] {
+            let stmt = parse_select(sql).unwrap();
+            let data = gridfed_sqlkit::execute_select_columnar(&stmt, &provider).unwrap();
+            exact(&Partial {
+                table: "hits".into(),
+                data,
+            });
+        }
+
+        // Degenerate shapes stay exact too: a zero-row partial.
+        exact(&partial("t", &["only"], Vec::new()));
     }
 
     #[test]
     fn reduction_keys_are_distinct_sorted_and_null_free() {
-        let p = Partial {
-            table: "runs".into(),
-            columns: vec!["run_id".into(), "site".into()],
-            rows: vec![
-                Row::new(vec![Value::Int(30), Value::Text("a".into())]),
-                Row::new(vec![Value::Int(10), Value::Text("b".into())]),
-                Row::new(vec![Value::Null, Value::Text("c".into())]),
-                Row::new(vec![Value::Int(30), Value::Text("d".into())]),
+        let p = partial(
+            "runs",
+            &["run_id", "site"],
+            vec![
+                vec![Value::Int(30), Value::Text("a".into())],
+                vec![Value::Int(10), Value::Text("b".into())],
+                vec![Value::Null, Value::Text("c".into())],
+                vec![Value::Int(30), Value::Text("d".into())],
             ],
-        };
+        );
         // Case-insensitive column lookup; NULLs dropped; duplicates folded.
         let keys = reduction_keys(&p, "RUN_ID").unwrap();
         assert_eq!(keys, vec![Value::Int(10), Value::Int(30)]);

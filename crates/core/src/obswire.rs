@@ -18,6 +18,7 @@ use crate::Result;
 use gridfed_clarens::codec::WireValue;
 use gridfed_clarens::ClarensError;
 use gridfed_obs::{Span, SpanKind};
+use gridfed_sqlkit::ColumnarResult;
 use gridfed_storage::Row;
 
 fn bad(msg: &str) -> CoreError {
@@ -183,15 +184,22 @@ pub fn monitor_partials_to_wire(partials: &[Partial]) -> WireValue {
             .map(|p| {
                 WireValue::List(vec![
                     WireValue::Str(p.table.clone()),
-                    WireValue::List(p.columns.iter().cloned().map(WireValue::Str).collect()),
                     WireValue::List(
-                        p.rows
+                        p.data
+                            .columns()
                             .iter()
-                            .map(|r| {
+                            .cloned()
+                            .map(WireValue::Str)
+                            .collect(),
+                    ),
+                    WireValue::List(
+                        (0..p.data.len())
+                            .map(|i| {
                                 WireValue::List(
-                                    r.values()
+                                    p.data
+                                        .chunks()
                                         .iter()
-                                        .map(crate::service::value_to_wire)
+                                        .map(|c| crate::service::value_to_wire(&c.value_at(i)))
                                         .collect(),
                                 )
                             })
@@ -207,7 +215,9 @@ pub fn monitor_partials_to_wire(partials: &[Partial]) -> WireValue {
 /// beyond the known three per partial are ignored, so a newer peer can
 /// append metadata without breaking this decoder. Column-set mismatches
 /// are *not* resolved here — the consumer maps columns by name when it
-/// merges remote rows into its local monitor tables.
+/// merges remote rows into its local monitor tables. The rows are typed
+/// into columns as `service::wire_to_partial` types them: a ragged row or
+/// a mixed-type column is a typed error, never a panic.
 pub fn wire_to_monitor_partials(v: &WireValue) -> Result<Vec<Partial>> {
     let WireValue::List(items) = v else {
         return Err(bad("monitor partials must be a list"));
@@ -246,11 +256,12 @@ pub fn wire_to_monitor_partials(v: &WireValue) -> Result<Vec<Partial>> {
                     ))
                 })
                 .collect::<Result<_>>()?;
-            Ok(Partial {
-                table,
-                columns,
-                rows,
-            })
+            let data = ColumnarResult::from_rows(columns, rows).map_err(|e| {
+                CoreError::Rpc(ClarensError::BadParams(format!(
+                    "monitor partial `{table}` rejected: {e}"
+                )))
+            })?;
+            Ok(Partial { table, data })
         })
         .collect()
 }
@@ -383,12 +394,15 @@ mod tests {
         use gridfed_storage::Value;
         let partials = vec![Partial {
             table: "gridfed_monitor.statements".into(),
-            columns: vec!["sql".into(), "calls".into(), "server".into()],
-            rows: vec![Row::new(vec![
-                Value::Text("select ?".into()),
-                Value::Int(4),
-                Value::Text("clarens://node2:8443/das".into()),
-            ])],
+            data: ColumnarResult::from_rows(
+                vec!["sql".into(), "calls".into(), "server".into()],
+                vec![Row::new(vec![
+                    Value::Text("select ?".into()),
+                    Value::Int(4),
+                    Value::Text("clarens://node2:8443/das".into()),
+                ])],
+            )
+            .unwrap(),
         }];
         let back = wire_to_monitor_partials(&monitor_partials_to_wire(&partials)).unwrap();
         assert_eq!(back, partials);
@@ -406,6 +420,60 @@ mod tests {
 
         assert!(wire_to_monitor_partials(&WireValue::Int(1)).is_err());
         assert!(wire_to_monitor_partials(&WireValue::List(vec![WireValue::List(vec![])])).is_err());
+    }
+
+    #[test]
+    fn monitor_partial_rows_of_wrong_arity_or_type_are_typed_errors() {
+        let frame = |rows: Vec<WireValue>| {
+            WireValue::List(vec![WireValue::List(vec![
+                WireValue::Str("gridfed_monitor.queries".into()),
+                WireValue::List(vec![
+                    WireValue::Str("trace_id".into()),
+                    WireValue::Str("sql".into()),
+                ]),
+                WireValue::List(rows),
+            ])])
+        };
+        let row = |cells: Vec<WireValue>| WireValue::List(cells);
+        let ok = frame(vec![row(vec![
+            WireValue::Int(1),
+            WireValue::Str("q".into()),
+        ])]);
+        assert_eq!(wire_to_monitor_partials(&ok).unwrap()[0].data.len(), 1);
+
+        let short = frame(vec![
+            row(vec![WireValue::Int(1), WireValue::Str("q".into())]),
+            row(vec![WireValue::Int(2)]),
+        ]);
+        let err = wire_to_monitor_partials(&short).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Rpc(ClarensError::BadParams(_))),
+            "{err}"
+        );
+
+        let mistyped = frame(vec![
+            row(vec![WireValue::Int(1), WireValue::Str("q".into())]),
+            row(vec![
+                WireValue::Str("two".into()),
+                WireValue::Str("q".into()),
+            ]),
+        ]);
+        let err = wire_to_monitor_partials(&mistyped).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Rpc(ClarensError::BadParams(_))),
+            "{err}"
+        );
+        assert!(err.to_string().contains("trace_id"), "{err}");
+
+        let nested = frame(vec![row(vec![
+            WireValue::List(vec![]),
+            WireValue::Str("q".into()),
+        ])]);
+        let err = wire_to_monitor_partials(&nested).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Rpc(ClarensError::BadParams(_))),
+            "{err}"
+        );
     }
 
     #[test]

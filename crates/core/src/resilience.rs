@@ -786,15 +786,15 @@ mod tests {
                 None,
                 Some(vec![Partial {
                     table: "events".into(),
-                    columns: vec!["e_id".into()],
-                    rows: vec![],
+                    data: gridfed_sqlkit::ColumnarResult::from_rows(vec!["e_id".into()], vec![])
+                        .unwrap(),
                 }]),
             )
             .unwrap();
         let reason = report.events.dropped.expect("dropped");
         assert!(reason.contains("unavailable"), "{reason}");
         assert_eq!(report.output.partials.len(), 1);
-        assert!(report.output.partials[0].rows.is_empty());
+        assert!(report.output.partials[0].data.is_empty());
     }
 
     #[test]

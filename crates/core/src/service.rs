@@ -32,8 +32,10 @@ use gridfed_sqlkit::exec::{execute_plan_metered, DatabaseProvider};
 use gridfed_sqlkit::parser::{parse, parse_select};
 use gridfed_sqlkit::plan::{build_plan, LogicalPlan};
 use gridfed_sqlkit::render::{render_select, NeutralStyle};
-use gridfed_sqlkit::{with_exec_config, ExecConfig, ResultSet};
-use gridfed_storage::{normalize_ident, ColumnDef, DataType, Database, Row, Schema, Value};
+use gridfed_sqlkit::{with_exec_config, ColumnarResult, ExecConfig, ResultSet};
+use gridfed_storage::{
+    normalize_ident, ColumnChunk, ColumnDef, DataType, Database, Row, Schema, Value,
+};
 use gridfed_vendors::{ConnectionString, DriverRegistry, VendorKind};
 use gridfed_warehouse::{read_all_mart_meta, MartReport, RefreshKind, ReplBatchReport, ReplLag};
 use gridfed_xspec::dict::DataDictionary;
@@ -1979,13 +1981,10 @@ impl DataAccessService {
             report.output.partials.into_iter().next().ok_or_else(|| {
                 CoreError::Internal("single-database branch yielded nothing".into())
             })?;
-        stats.rows_fetched = partial.rows.len();
+        stats.rows_fetched = partial.data.len();
         stats.bytes_fetched = partial.wire_size();
         self.check_memory(stats.bytes_fetched)?;
-        Ok(ResultSet {
-            columns: partial.columns,
-            rows: partial.rows,
-        })
+        Ok(partial.data.into_result_set())
     }
 
     /// One attempt of a single-database statement against one location.
@@ -2018,8 +2017,10 @@ impl DataAccessService {
             .topology
             .transfer(&db_host, &self.host, result.wire_size());
         out.exec_cost = exec_cost + transfer;
-        out.partials
-            .push(Partial::from_result("single".to_string(), result));
+        out.partials.push(Partial {
+            table: "single".to_string(),
+            data: result,
+        });
         Ok(out)
     }
 
@@ -2135,13 +2136,10 @@ impl DataAccessService {
             .into_iter()
             .next()
             .ok_or_else(|| CoreError::Internal("forwarded branch yielded nothing".into()))?;
-        stats.rows_fetched = partial.rows.len();
+        stats.rows_fetched = partial.data.len();
         stats.bytes_fetched = partial.wire_size();
         self.check_memory(stats.bytes_fetched)?;
-        Ok(ResultSet {
-            columns: partial.columns,
-            rows: partial.rows,
-        })
+        Ok(partial.data.into_result_set())
     }
 
     /// One attempt at forwarding a whole statement to a remote server.
@@ -2396,13 +2394,24 @@ impl DataAccessService {
             }
         };
 
-        // Scatter-branch threads start with neither this thread's executor
-        // config nor its virtual-clock offset (both are thread-locals):
-        // capture both here and re-install inside each spawned branch, so a
-        // branch's plan executions and fault windows behave exactly as if
-        // they ran on the dispatching thread.
+        // A wave's first branch runs on this (the dispatching) thread, which
+        // already has the caller's executor config and virtual-clock offset
+        // installed; only the others get a scoped thread. Spawned threads
+        // start with neither (both are thread-locals): capture both here and
+        // re-install inside each, so a branch's plan executions and fault
+        // windows behave exactly as if they ran on the dispatching thread.
+        // Either way a panicking branch becomes an error naming the branch
+        // instead of tearing down the mediator.
         let branch_cfg = gridfed_sqlkit::current_exec_config();
         let clock_offset = VirtualClock::thread_offset();
+        let contain = |i: usize, caught: std::thread::Result<Result<BranchReport>>| {
+            caught.unwrap_or_else(|payload| {
+                Err(CoreError::BranchPanic {
+                    branch: labels[i].clone(),
+                    detail: panic_detail(payload.as_ref()),
+                })
+            })
+        };
         let mut outcomes: Vec<Option<Result<BranchReport>>> =
             (0..specs.len()).map(|_| None).collect();
         // `(table, full-scatter estimate)` of every task that actually had
@@ -2456,7 +2465,8 @@ impl DataAccessService {
             }
             let wave_outcomes: Vec<(usize, Result<BranchReport>)> = match self.dispatch {
                 DispatchMode::Parallel => std::thread::scope(|scope| {
-                    let handles: Vec<_> = wave_idx
+                    let (&first, rest) = wave_idx.split_first().expect("non-empty wave");
+                    let handles: Vec<_> = rest
                         .iter()
                         .map(|&i| {
                             let spec = &specs[i];
@@ -2469,20 +2479,11 @@ impl DataAccessService {
                             (i, handle)
                         })
                         .collect();
-                    handles
-                        .into_iter()
-                        .map(|(i, h)| {
-                            // A panicking branch becomes an error naming
-                            // the branch instead of tearing down the
-                            // mediator.
-                            let outcome = h.join().unwrap_or_else(|payload| {
-                                Err(CoreError::BranchPanic {
-                                    branch: labels[i].clone(),
-                                    detail: panic_detail(payload.as_ref()),
-                                })
-                            });
-                            (i, outcome)
-                        })
+                    let inline = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        run_spec(&specs[first], &labels[first])
+                    }));
+                    std::iter::once((first, contain(first, inline)))
+                        .chain(handles.into_iter().map(|(i, h)| (i, contain(i, h.join()))))
                         .collect()
                 }),
                 DispatchMode::Sequential => wave_idx
@@ -2546,7 +2547,7 @@ impl DataAccessService {
             }
         }
 
-        stats.rows_fetched = partials.iter().map(|p| p.rows.len()).sum();
+        stats.rows_fetched = partials.iter().map(|p| p.data.len()).sum();
         stats.bytes_fetched = partials.iter().map(Partial::wire_size).sum();
         // Estimated bytes the reductions kept off the wire: what the
         // full-scatter fetch of each reduced branch was estimated to cost
@@ -2560,7 +2561,7 @@ impl DataAccessService {
                 .iter()
                 .filter(|p| &normalize_ident(&p.table) == table)
             {
-                rows += p.rows.len();
+                rows += p.data.len();
                 bytes += p.wire_size();
             }
             let width = bytes.checked_div(rows).map_or(32, |w| w.max(1)) as u64;
@@ -2572,10 +2573,10 @@ impl DataAccessService {
             // EXPLAIN ANALYZE or the continuous-profiling gate: profile
             // the residual plan per node. The annotated rendering is only
             // kept for EXPLAIN ANALYZE; the flattened actuals feed the
-            // statement profile store either way (the staging database
-            // only lives inside the integration call).
+            // statement profile store either way (the partials' tables
+            // only live inside the integration call).
             let (rs, metrics, annotated, actuals) =
-                federate::integrate_analyzed(residual, &partials)?;
+                federate::integrate_analyzed(residual, partials)?;
             if probe.want_profile {
                 probe.analyzed = Some(annotated);
             }
@@ -2589,7 +2590,7 @@ impl DataAccessService {
                 .collect();
             (rs, metrics)
         } else {
-            federate::integrate_metered(residual, &partials)?
+            federate::integrate_metered(residual, partials)?
         };
         stats.compile += Cost::from_secs_f64(metrics.compile.as_secs_f64());
         stats.eval += Cost::from_secs_f64(metrics.eval.as_secs_f64());
@@ -2662,8 +2663,10 @@ impl DataAccessService {
                 self.topology
                     .transfer(conn.server().host(), &self.host, t.value.wire_size());
             out.exec_cost += t.cost + transfer;
-            out.partials
-                .push(Partial::from_result(task.table.clone(), t.value));
+            out.partials.push(Partial {
+                table: task.table.clone(),
+                data: t.value,
+            });
         }
         Ok(out)
     }
@@ -3001,14 +3004,8 @@ impl DataAccessService {
             let key = normalize_ident(name);
             let Ok(table) = db.table(&key) else { continue };
             out.push(Partial {
+                data: ColumnarResult::from_table(table),
                 table: key,
-                columns: table
-                    .schema()
-                    .columns()
-                    .iter()
-                    .map(|c| c.name.clone())
-                    .collect(),
-                rows: table.rows(),
             });
         }
         Ok(out)
@@ -3451,19 +3448,19 @@ fn merge_monitor_partial(db: &mut Database, partial: &Partial) -> Result<()> {
     let Ok(table) = db.table_mut(&partial.table) else {
         return Ok(());
     };
-    let positions: Vec<Option<usize>> = table
+    let chunks: Vec<Option<&ColumnChunk>> = table
         .schema()
         .columns()
         .iter()
-        .map(|c| partial.columns.iter().position(|p| *p == c.name))
+        .map(|c| {
+            let pos = partial.data.columns().iter().position(|p| *p == c.name)?;
+            Some(&partial.data.chunks()[pos])
+        })
         .collect();
-    for row in &partial.rows {
-        let values = positions
+    for row in 0..partial.data.len() {
+        let values = chunks
             .iter()
-            .map(|pos| match pos {
-                Some(i) => row.get(*i).cloned().unwrap_or(Value::Null),
-                None => Value::Null,
-            })
+            .map(|chunk| chunk.map_or(Value::Null, |c| c.value_at(row)))
             .collect();
         table.insert(values)?;
     }
@@ -3640,12 +3637,12 @@ fn stmt_output_columns(stmt: &SelectStmt) -> Option<Vec<String>> {
         .collect()
 }
 
-/// A zero-row partial with the given columns.
+/// A zero-row partial with the given columns (typed FLOAT, the type of a
+/// column with no values).
 fn empty_partial(table: &str, columns: Vec<String>) -> Partial {
     Partial {
         table: table.to_string(),
-        columns,
-        rows: Vec::new(),
+        data: ColumnarResult::from_rows(columns, Vec::new()).expect("no rows to mistype"),
     }
 }
 
@@ -3694,7 +3691,11 @@ pub fn result_to_wire(rs: &ResultSet) -> WireValue {
     WireValue::List(vec![columns, rows])
 }
 
-/// Wire form → a typed partial.
+/// Wire form → a typed partial. The frame comes from a peer mediator, so
+/// every row's arity and every value's type is checked before a column is
+/// built: each column takes its first non-NULL value's type (INT widens to
+/// FLOAT; an all-NULL column is FLOAT), and a ragged row, a mixed-type
+/// column or an unknown wire value is a typed [`CoreError::Rpc`] error.
 pub fn wire_to_partial(table: &str, wire: &WireValue) -> Result<Partial> {
     let WireValue::List(parts) = wire else {
         return Err(CoreError::Rpc(ClarensError::BadParams(
@@ -3720,21 +3721,25 @@ pub fn wire_to_partial(table: &str, wire: &WireValue) -> Result<Partial> {
             "rows must be a list".into(),
         )));
     };
-    let mut out_rows = Vec::with_capacity(rows.len());
-    for r in rows {
-        let WireValue::List(cells) = r else {
-            return Err(CoreError::Rpc(ClarensError::BadParams(
+    let rows = rows
+        .iter()
+        .map(|r| match r {
+            WireValue::List(cells) => Ok(Row::new(
+                cells.iter().map(wire_to_value).collect::<Result<_>>()?,
+            )),
+            _ => Err(CoreError::Rpc(ClarensError::BadParams(
                 "row must be a list".into(),
-            )));
-        };
-        out_rows.push(Row::new(
-            cells.iter().map(wire_to_value).collect::<Result<_>>()?,
-        ));
-    }
+            ))),
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let data = ColumnarResult::from_rows(columns, rows).map_err(|e| {
+        CoreError::Rpc(ClarensError::BadParams(format!(
+            "partial `{table}` rejected: {e}"
+        )))
+    })?;
     Ok(Partial {
         table: table.to_string(),
-        columns,
-        rows: out_rows,
+        data,
     })
 }
 
@@ -3921,7 +3926,7 @@ impl Service for DataAccessService {
                     tables.push(n.as_str()?.to_string());
                 }
                 let partials = self.monitor_export(&tables).map_err(fault)?;
-                let rows: usize = partials.iter().map(|p| p.rows.len()).sum();
+                let rows: usize = partials.iter().map(|p| p.data.len()).sum();
                 let cost =
                     Cost::from_micros(500) + self.params.per_row_serialize.scale(rows as f64);
                 Ok(Timed::new(monitor_partials_to_wire(&partials), cost))
@@ -4090,6 +4095,113 @@ mod tests {
         );
     }
 
+    /// A `query_federated` result frame with one column per name.
+    fn frame(columns: &[&str], rows: Vec<Vec<WireValue>>) -> WireValue {
+        WireValue::List(vec![
+            WireValue::List(
+                columns
+                    .iter()
+                    .map(|c| WireValue::Str(c.to_string()))
+                    .collect(),
+            ),
+            WireValue::List(rows.into_iter().map(WireValue::List).collect()),
+        ])
+    }
+
+    #[test]
+    fn all_null_column_defaults_to_float() {
+        let p = wire_to_partial("t", &frame(&["a"], vec![vec![WireValue::Null]])).unwrap();
+        assert_eq!(p.data.chunks()[0].data_type(), DataType::Float);
+        let rs = federate::integrate(
+            &build_plan(&parse_select("SELECT a FROM t").unwrap()),
+            vec![p],
+        )
+        .unwrap();
+        assert_eq!(rs.len(), 1);
+        assert!(rs.rows[0].values()[0].is_null());
+    }
+
+    #[test]
+    fn mixed_numeric_column_widens() {
+        let p = wire_to_partial(
+            "t",
+            &frame(
+                &["a"],
+                vec![vec![WireValue::Int(1)], vec![WireValue::Float(2.5)]],
+            ),
+        )
+        .unwrap();
+        assert_eq!(p.data.chunks()[0].data_type(), DataType::Float);
+        let plan = build_plan(&parse_select("SELECT a FROM t ORDER BY a").unwrap());
+        let rs = federate::integrate(&plan, vec![p]).unwrap();
+        assert_eq!(rs.len(), 2);
+        assert_eq!(rs.rows[0].values()[0], Value::Float(1.0));
+    }
+
+    #[test]
+    fn incompatible_types_rejected() {
+        let err = wire_to_partial(
+            "t",
+            &frame(
+                &["a"],
+                vec![vec![WireValue::Int(1)], vec![WireValue::Str("x".into())]],
+            ),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, CoreError::Rpc(ClarensError::BadParams(_))),
+            "{err}"
+        );
+        assert!(err.to_string().contains("`a`"), "{err}");
+    }
+
+    #[test]
+    fn remote_rows_of_wrong_arity_or_value_type_are_typed_errors() {
+        // A row shorter than the header.
+        let err = wire_to_partial(
+            "t",
+            &frame(
+                &["a", "b"],
+                vec![
+                    vec![WireValue::Int(1), WireValue::Int(2)],
+                    vec![WireValue::Int(3)],
+                ],
+            ),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, CoreError::Rpc(ClarensError::BadParams(_))),
+            "{err}"
+        );
+        // A cell that is no scalar value at all.
+        let err = wire_to_partial(
+            "t",
+            &frame(&["a"], vec![vec![WireValue::List(vec![WireValue::Int(1)])]]),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, CoreError::Rpc(ClarensError::BadParams(_))),
+            "{err}"
+        );
+        // A cell whose type contradicts the column's earlier values.
+        let err = wire_to_partial(
+            "t",
+            &frame(
+                &["a", "b"],
+                vec![
+                    vec![WireValue::Bool(true), WireValue::Int(1)],
+                    vec![WireValue::Bool(false), WireValue::Float(0.5)],
+                    vec![WireValue::Int(7), WireValue::Int(2)],
+                ],
+            ),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, CoreError::Rpc(ClarensError::BadParams(_))),
+            "{err}"
+        );
+    }
+
     #[test]
     fn panic_detail_extracts_string_payloads() {
         let s: Box<dyn std::any::Any + Send> = Box::new("kaput");
@@ -4113,7 +4225,8 @@ mod tests {
             .value;
         assert!(out.stats.distributed);
         // The split is informational and excluded from the virtual-time
-        // breakdown; eval covers staging + evaluation so it is non-zero.
+        // breakdown; eval covers wrapping the partials + evaluation, so it
+        // is non-zero.
         assert!(out.stats.eval > Cost::ZERO);
         let bd = out.stats.breakdown;
         assert_eq!(

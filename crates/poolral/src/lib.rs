@@ -26,7 +26,7 @@
 use gridfed_simnet::cost::{Cost, Timed};
 use gridfed_sqlkit::ast::SelectStmt;
 use gridfed_sqlkit::parser;
-use gridfed_sqlkit::{ResultSet, SqlError};
+use gridfed_sqlkit::{ColumnarResult, SqlError};
 use gridfed_storage::Value;
 use gridfed_vendors::{Connection, ConnectionString, DriverRegistry, VendorError};
 use parking_lot::Mutex;
@@ -141,8 +141,8 @@ impl PoolRal {
         where_clause: &str,
     ) -> Result<Timed<Vec<Vec<String>>>> {
         let timed = self.execute_typed(connstr, select_fields, tables, where_clause)?;
-        let cells = timed.value.rows.len() * timed.value.columns.len().max(1);
-        let grid = timed.value.to_vector();
+        let cells = timed.value.len() * timed.value.columns().len().max(1);
+        let grid = timed.value.into_result_set().to_vector();
         Ok(Timed::new(
             grid,
             timed.cost + JNI_CALL + JNI_PER_CELL.scale(cells as f64),
@@ -150,14 +150,15 @@ impl PoolRal {
     }
 
     /// Typed variant of [`PoolRal::execute`] used inside the mediator
-    /// (skips the string rendering but keeps the JNI call cost).
+    /// (skips the string rendering but keeps the JNI call cost); the result
+    /// stays in typed columns.
     pub fn execute_typed(
         &self,
         connstr: &str,
         select_fields: &[String],
         tables: &[String],
         where_clause: &str,
-    ) -> Result<Timed<ResultSet>> {
+    ) -> Result<Timed<ColumnarResult>> {
         if tables.is_empty() {
             return Err(PoolError::Sql(SqlError::Unsupported(
                 "POOL execute requires at least one table".into(),
@@ -189,7 +190,7 @@ impl PoolRal {
 
     /// Execute an already-parsed single-table SELECT through a pooled
     /// handle (the Data Access Service's POOL fast path).
-    pub fn execute_stmt(&self, connstr: &str, stmt: &SelectStmt) -> Result<Timed<ResultSet>> {
+    pub fn execute_stmt(&self, connstr: &str, stmt: &SelectStmt) -> Result<Timed<ColumnarResult>> {
         let handles = self.handles.lock();
         let conn = handles
             .get(connstr)

@@ -43,9 +43,9 @@ use crate::optimize::{optimize, PlanCatalog};
 use crate::par::{self, ExecConfig};
 use crate::plan::{build_plan, LogicalPlan};
 use crate::render::render_expr_neutral;
-use crate::result::ResultSet;
+use crate::result::{ColumnarResult, ResultSet};
 use crate::Result;
-use gridfed_storage::{Database, Row, Schema, Table, Value};
+use gridfed_storage::{ColumnChunk, Database, Row, Schema, Table, Value};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -183,6 +183,130 @@ pub fn execute_plan_metered(
     Ok((rs, metrics))
 }
 
+/// Execute a SELECT and hand its result over as owned, typed columns —
+/// what a backend ships to the mediator.
+///
+/// A projection or bare relational root gathers its selected positions
+/// straight into owned chunks (expression items are evaluated row-major, so
+/// the first error is the row executor's); sort, aggregate, distinct and
+/// limit roots, whose outputs are small, run the row path and transpose.
+/// Under `EXPLAIN ANALYZE` profiling the row path runs too, so per-node
+/// actuals stay exactly as in [`execute_plan_metered`].
+pub fn execute_select_columnar(
+    stmt: &SelectStmt,
+    provider: &dyn TableProvider,
+) -> Result<ColumnarResult> {
+    let plan = optimize(build_plan(stmt), &ProviderCatalog(provider));
+    let m = &mut ExecMetrics::default();
+    if !crate::analyze::profiling() {
+        match &plan {
+            LogicalPlan::Project { input, items, keys } if keys.is_empty() => {
+                let rel = eval_relational(input, provider, m)?;
+                return project_columnar(&rel, items, m);
+            }
+            LogicalPlan::Scan { .. } | LogicalPlan::Filter { .. } | LogicalPlan::Join { .. } => {
+                let rel = eval_relational(&plan, provider, m)?;
+                let names = (0..rel.bindings.arity())
+                    .map(|i| rel.bindings.name_at(i).expect("pos in range").to_string())
+                    .collect::<Vec<_>>();
+                let chunks = names
+                    .iter()
+                    .zip(&rel.cols)
+                    .map(|(name, col)| gather_chunk(name, col, &rel.sel))
+                    .collect::<Result<_>>()?;
+                return Ok(ColumnarResult::new(names, chunks, rel.sel.len()));
+            }
+            _ => {}
+        }
+    }
+    let rs = execute_node(&plan, provider, m)?;
+    ColumnarResult::from_rows(rs.columns, rs.rows)
+}
+
+/// The input positions `exprs` read, sorted and distinct: the only columns
+/// a projection copies into its scratch row.
+fn scratch_positions<'e>(
+    exprs: impl Iterator<Item = &'e CompiledExpr>,
+    arity: usize,
+) -> Vec<usize> {
+    let mut needed = Vec::new();
+    for e in exprs {
+        e.collect_positions(&mut needed);
+    }
+    needed.sort_unstable();
+    needed.dedup();
+    needed.retain(|&p| p < arity);
+    needed
+}
+
+/// One relation column's selected positions as an owned chunk.
+fn gather_chunk(name: &str, col: &ColData<'_>, sel: &[u32]) -> Result<ColumnChunk> {
+    Ok(match col {
+        ColData::Chunk(c) => c.gather(sel),
+        ColData::Owned(c) => c.gather(sel),
+        ColData::Values(v) => ColumnChunk::from_values(name, sel.iter().map(|&p| &v[p as usize]))?,
+    })
+}
+
+/// A root projection in columnar form: column items gather their selected
+/// positions, other expression items evaluate row by row (row-major, as
+/// the row path does) into per-item value lanes. When those expressions
+/// should run on the worker pool, the row path projects and the rows are
+/// transposed.
+fn project_columnar(
+    rel: &ColRelation<'_>,
+    items: &[SelectItem],
+    m: &mut ExecMetrics,
+) -> Result<ColumnarResult> {
+    let plans = timed_compile(m, || expand_items(items, &rel.bindings))?;
+    let column_of = |plan: &ItemPlan| match plan {
+        ItemPlan::Position(q) | ItemPlan::Expr(CompiledExpr::Column(q)) => Some(*q),
+        ItemPlan::Expr(_) => None,
+    };
+    let exprs: Vec<&CompiledExpr> = plans
+        .iter()
+        .filter_map(|(_, plan)| match plan {
+            ItemPlan::Expr(e) if column_of(plan).is_none() => Some(e),
+            _ => None,
+        })
+        .collect();
+    if !exprs.is_empty() && par::should_parallelize(&par::current_exec_config(), rel.sel.len()) {
+        let rs = project_rows(rel, items, &[], m)?;
+        return ColumnarResult::from_rows(rs.columns, rs.rows);
+    }
+    let arity = rel.bindings.arity();
+    let needed = scratch_positions(exprs.iter().copied(), arity);
+    let mut lanes: Vec<Vec<Value>> = exprs
+        .iter()
+        .map(|_| Vec::with_capacity(rel.sel.len()))
+        .collect();
+    if !exprs.is_empty() {
+        let mut scratch = vec![Value::Null; arity];
+        for &s in &rel.sel {
+            for &c in &needed {
+                scratch[c] = rel.cols[c].value_at(s as usize);
+            }
+            for (lane, e) in lanes.iter_mut().zip(&exprs) {
+                lane.push(e.eval(&scratch)?);
+            }
+        }
+    }
+    let mut lanes = lanes.into_iter();
+    let mut columns = Vec::with_capacity(plans.len());
+    let mut chunks = Vec::with_capacity(plans.len());
+    for (name, plan) in &plans {
+        chunks.push(match column_of(plan) {
+            Some(q) => gather_chunk(name, &rel.cols[q], &rel.sel)?,
+            None => {
+                let lane = lanes.next().expect("one lane per expression item");
+                ColumnChunk::from_values(name, &lane)?
+            }
+        });
+        columns.push(name.clone());
+    }
+    Ok(ColumnarResult::new(columns, chunks, rel.sel.len()))
+}
+
 /// Node dispatcher plus the `EXPLAIN ANALYZE` profiling hook. When
 /// profiling is off (the common case) this is one thread-local flag read;
 /// when on, each result-shaping node records output rows, inclusive wall
@@ -220,72 +344,7 @@ fn execute_node_inner(
     match plan {
         LogicalPlan::Project { input, items, keys } => {
             let rel = eval_relational(input, provider, m)?;
-            let (plans, key_plans) = timed_compile(m, || {
-                let plans = expand_items(items, &rel.bindings)?;
-                let columns: Vec<&str> = plans.iter().map(|(n, _)| n.as_str()).collect();
-                let key_plans = compile_order_keys(keys, &rel.bindings, &columns)?;
-                Ok((plans, key_plans))
-            })?;
-            let columns: Vec<String> = plans.iter().map(|(n, _)| n.clone()).collect();
-            // Late materialization: only expression items touch a scratch
-            // row, and only the columns they actually reference are gathered
-            // into it; positional items copy straight out of the chunks.
-            let arity = rel.bindings.arity();
-            let mut needed = Vec::new();
-            for (_, plan) in &plans {
-                if let ItemPlan::Expr(e) = plan {
-                    e.collect_positions(&mut needed);
-                }
-            }
-            for kp in &key_plans {
-                if let SortKeyPlan::Input(e) = kp {
-                    e.collect_positions(&mut needed);
-                }
-            }
-            needed.sort_unstable();
-            needed.dedup();
-            needed.retain(|&p| p < arity);
-            let cfg = par::current_exec_config();
-            let rows = if par::should_parallelize(&cfg, rel.sel.len()) {
-                par_materialize_project(
-                    &cfg,
-                    &rel,
-                    &plans,
-                    &key_plans,
-                    &needed,
-                    arity,
-                    keys.len(),
-                    m,
-                )?
-            } else {
-                let mut scratch = vec![Value::Null; arity];
-                let mut rows = Vec::with_capacity(rel.sel.len());
-                for &s in &rel.sel {
-                    let p = s as usize;
-                    for &c in &needed {
-                        scratch[c] = rel.cols[c].value_at(p);
-                    }
-                    let mut values = Vec::with_capacity(plans.len() + keys.len());
-                    for (_, plan) in &plans {
-                        match plan {
-                            ItemPlan::Position(q) => values.push(rel.cols[*q].value_at(p)),
-                            ItemPlan::Expr(e) => values.push(e.eval(&scratch)?),
-                        }
-                    }
-                    for kp in &key_plans {
-                        let key = match kp {
-                            SortKeyPlan::Output(q) => values[*q].clone(),
-                            SortKeyPlan::Input(e) => e.eval(&scratch)?,
-                        };
-                        values.push(key);
-                    }
-                    rows.push(Row::new(values));
-                }
-                rows
-            };
-            m.rows_materialized += rows.len() as u64;
-            m.batches += n_batches(rel.sel.len());
-            Ok(ResultSet { columns, rows })
+            project_rows(&rel, items, keys, m)
         }
         LogicalPlan::Aggregate {
             input,
@@ -424,6 +483,67 @@ fn execute_node_inner(
             Ok(ResultSet { columns, rows })
         }
     }
+}
+
+/// A projection's output rows (plus hidden ORDER BY key columns). Late
+/// materialization: only expression items touch a scratch row, and only
+/// the columns they actually reference are gathered into it; positional
+/// items copy straight out of the chunks.
+fn project_rows(
+    rel: &ColRelation<'_>,
+    items: &[SelectItem],
+    keys: &[OrderItem],
+    m: &mut ExecMetrics,
+) -> Result<ResultSet> {
+    let (plans, key_plans) = timed_compile(m, || {
+        let plans = expand_items(items, &rel.bindings)?;
+        let columns: Vec<&str> = plans.iter().map(|(n, _)| n.as_str()).collect();
+        let key_plans = compile_order_keys(keys, &rel.bindings, &columns)?;
+        Ok((plans, key_plans))
+    })?;
+    let columns: Vec<String> = plans.iter().map(|(n, _)| n.clone()).collect();
+    let arity = rel.bindings.arity();
+    let item_exprs = plans.iter().filter_map(|(_, plan)| match plan {
+        ItemPlan::Expr(e) => Some(e),
+        ItemPlan::Position(_) => None,
+    });
+    let key_exprs = key_plans.iter().filter_map(|kp| match kp {
+        SortKeyPlan::Input(e) => Some(e),
+        SortKeyPlan::Output(_) => None,
+    });
+    let needed = scratch_positions(item_exprs.chain(key_exprs), arity);
+    let cfg = par::current_exec_config();
+    let rows = if par::should_parallelize(&cfg, rel.sel.len()) {
+        par_materialize_project(&cfg, rel, &plans, &key_plans, &needed, arity, keys.len(), m)?
+    } else {
+        let mut scratch = vec![Value::Null; arity];
+        let mut rows = Vec::with_capacity(rel.sel.len());
+        for &s in &rel.sel {
+            let p = s as usize;
+            for &c in &needed {
+                scratch[c] = rel.cols[c].value_at(p);
+            }
+            let mut values = Vec::with_capacity(plans.len() + keys.len());
+            for (_, plan) in &plans {
+                match plan {
+                    ItemPlan::Position(q) => values.push(rel.cols[*q].value_at(p)),
+                    ItemPlan::Expr(e) => values.push(e.eval(&scratch)?),
+                }
+            }
+            for kp in &key_plans {
+                let key = match kp {
+                    SortKeyPlan::Output(q) => values[*q].clone(),
+                    SortKeyPlan::Input(e) => e.eval(&scratch)?,
+                };
+                values.push(key);
+            }
+            rows.push(Row::new(values));
+        }
+        rows
+    };
+    m.rows_materialized += rows.len() as u64;
+    m.batches += n_batches(rel.sel.len());
+    Ok(ResultSet { columns, rows })
 }
 
 /// Decorate-sort-undecorate for a fused `Strip { Sort }` (optionally under a
@@ -1579,6 +1699,43 @@ mod tests {
     fn run(sql: &str) -> ResultSet {
         let stmt = parse_select(sql).unwrap();
         execute_select(&stmt, &DatabaseProvider(&db())).unwrap()
+    }
+
+    #[test]
+    fn columnar_output_matches_the_row_output_values_and_errors() {
+        let db = db();
+        let provider = DatabaseProvider(&db);
+        for sql in [
+            // Gathered roots: projections and bare relational trees.
+            "SELECT e_id, energy FROM events WHERE energy > 10.0",
+            "SELECT * FROM events e JOIN detectors d ON e.det_id = d.det_id",
+            "SELECT d.name, e.e_id FROM events e LEFT JOIN detectors d ON e.det_id = d.det_id",
+            "SELECT e_id * 2 AS twice, energy + 1, 'x' AS tag FROM events",
+            "SELECT COALESCE(d.name, 'none') FROM events e LEFT JOIN detectors d \
+             ON e.det_id = d.det_id",
+            "SELECT e_id FROM events WHERE e_id > 100",
+            // Transposed roots: sort, aggregate, distinct, limit.
+            "SELECT e_id FROM events ORDER BY energy DESC LIMIT 2",
+            "SELECT det_id, COUNT(*) AS n, AVG(energy) FROM events GROUP BY det_id",
+            "SELECT DISTINCT det_id FROM events",
+            "SELECT e_id FROM events LIMIT 3",
+            // Errors: the row path's first error, unchanged.
+            "SELECT e_id / (e_id - 3) FROM events",
+            "SELECT e_id, nosuch FROM events",
+            "SELECT name + 1, e_id / 0 FROM detectors d JOIN events e ON d.det_id = e.det_id",
+        ] {
+            let stmt = parse_select(sql).unwrap();
+            let rows = execute_select(&stmt, &provider);
+            let cols = execute_select_columnar(&stmt, &provider);
+            match (rows, cols) {
+                (Ok(rows), Ok(cols)) => {
+                    assert_eq!(cols.wire_size(), rows.wire_size(), "{sql}");
+                    assert_eq!(cols.into_result_set(), rows, "{sql}");
+                }
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{sql}"),
+                (a, b) => panic!("{sql}: row {a:?} vs columnar {b:?}"),
+            }
+        }
     }
 
     #[test]

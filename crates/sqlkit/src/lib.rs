@@ -70,14 +70,16 @@ pub use analyze::{
 pub use ast::{Expr, SelectStmt, Statement};
 pub use compile::{compile, CompiledExpr, KeyValue};
 pub use error::SqlError;
-pub use exec::{execute_select, DatabaseProvider, ExecMetrics, TableProvider};
+pub use exec::{
+    execute_select, execute_select_columnar, DatabaseProvider, ExecMetrics, TableProvider,
+};
 pub use exec_row::execute_plan_rowwise;
 pub use optimize::{optimize, optimize_with, NoCatalog, PassSet, PlanCatalog};
 pub use par::{current_exec_config, with_exec_config, ExecConfig, WorkerEnvHook};
 pub use parser::parse;
 pub use plan::{build_plan, LogicalPlan};
 pub use render::{render_statement, NeutralStyle, SqlStyle};
-pub use result::ResultSet;
+pub use result::{ColumnarResult, ResultSet};
 
 /// Result alias for the SQL layer.
 pub type Result<T> = std::result::Result<T, SqlError>;

@@ -6,10 +6,21 @@ use crate::lexer::{tokenize, Token};
 use crate::Result;
 use gridfed_storage::{DataType, Value};
 
+/// Deepest expression nesting the parser accepts: parentheses, function
+/// and aggregate arguments, `NOT` and unary sign chains each add a level.
+/// The parser (and every later pass over the expression tree) recurses
+/// once per level, so SQL text nested deeper than this is refused with a
+/// [`SqlError::Parse`] instead of overflowing the stack.
+pub const MAX_NESTING_DEPTH: usize = 128;
+
 /// Parse a single SQL statement (a trailing semicolon is allowed).
 pub fn parse(sql: &str) -> Result<Statement> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let stmt = p.statement()?;
     p.eat_semicolons();
     if !p.at_end() {
@@ -31,6 +42,8 @@ pub fn parse_select(sql: &str) -> Result<SelectStmt> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current expression nesting (see [`MAX_NESTING_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -55,6 +68,20 @@ impl Parser {
             pos: self.pos,
             message: message.into(),
         }
+    }
+
+    /// Run `f` one nesting level deeper, refusing to go past
+    /// [`MAX_NESTING_DEPTH`].
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth >= MAX_NESTING_DEPTH {
+            return Err(self.err(format!(
+                "expression nested deeper than {MAX_NESTING_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn eat_semicolons(&mut self) {
@@ -460,14 +487,16 @@ impl Parser {
 
     // ---- expressions (precedence climbing) ----
 
-    /// Entry: OR-level.
+    /// Entry: OR-level. Every entry is one nesting level.
     pub fn expr(&mut self) -> Result<Expr> {
-        let mut left = self.and_expr()?;
-        while self.eat_kw("OR") {
-            let right = self.and_expr()?;
-            left = Expr::binary(left, BinaryOp::Or, right);
-        }
-        Ok(left)
+        self.nested(|p| {
+            let mut left = p.and_expr()?;
+            while p.eat_kw("OR") {
+                let right = p.and_expr()?;
+                left = Expr::binary(left, BinaryOp::Or, right);
+            }
+            Ok(left)
+        })
     }
 
     fn and_expr(&mut self) -> Result<Expr> {
@@ -481,7 +510,7 @@ impl Parser {
 
     fn not_expr(&mut self) -> Result<Expr> {
         if self.eat_kw("NOT") {
-            let inner = self.not_expr()?;
+            let inner = self.nested(Self::not_expr)?;
             return Ok(Expr::Unary {
                 op: UnaryOp::Not,
                 expr: Box::new(inner),
@@ -610,7 +639,7 @@ impl Parser {
 
     fn unary(&mut self) -> Result<Expr> {
         if self.eat_tok(&Token::Minus) {
-            let inner = self.unary()?;
+            let inner = self.nested(Self::unary)?;
             // Fold negative literals immediately so `-3` is a literal.
             return Ok(match inner {
                 Expr::Literal(Value::Int(i)) => Expr::Literal(Value::Int(-i)),
@@ -622,7 +651,7 @@ impl Parser {
             });
         }
         if self.eat_tok(&Token::Plus) {
-            return self.unary();
+            return self.nested(Self::unary);
         }
         self.primary()
     }
@@ -978,6 +1007,35 @@ mod tests {
         assert_eq!(s.items.len(), 3);
         assert!(parse_select("SELECT ABS(x, y) FROM t").is_err());
         assert!(parse_select("SELECT ROUND(x, 1, 2) FROM t").is_err());
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded_with_a_positioned_error() {
+        let parens = |n: usize| {
+            format!(
+                "SELECT e_id FROM t WHERE {}1{} = 1",
+                "(".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        // The WHERE clause's own entry is one level.
+        assert!(parse(&parens(MAX_NESTING_DEPTH - 1)).is_ok());
+        for sql in [
+            parens(MAX_NESTING_DEPTH),
+            parens(5000),
+            format!("SELECT e_id FROM t WHERE {}TRUE", "NOT ".repeat(5000)),
+            format!("SELECT {}1 FROM t", "- ".repeat(5000)),
+            format!("SELECT {}1 FROM t", "+ ".repeat(5000)),
+            format!("SELECT {}1{} FROM t", "ABS(".repeat(5000), ")".repeat(5000)),
+        ] {
+            match parse(&sql) {
+                Err(SqlError::Parse { pos, message }) => {
+                    assert!(message.contains("nested deeper"), "{message}");
+                    assert!(pos > 0 && pos < sql.len(), "{pos}");
+                }
+                other => panic!("expected a depth error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //!   shrinks the dictionary; `gather` (compaction) re-interns into a fresh
 //!   one.
 
+use crate::error::StorageError;
 use crate::value::{DataType, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -508,6 +509,87 @@ impl ColumnChunk {
         *self = Self::for_type(self.data_type());
     }
 
+    /// Build a chunk from one column of untyped values (a decoded wire
+    /// frame, a transposed result). The column takes the type of its first
+    /// non-NULL value, widened from INT to FLOAT when FLOAT values also
+    /// appear; a column with no non-NULL value is FLOAT. Any other mix is a
+    /// [`StorageError::TypeMismatch`] naming `column` — never a panic.
+    pub fn from_values<'a, I>(column: &str, values: I) -> Result<ColumnChunk, StorageError>
+    where
+        I: IntoIterator<Item = &'a Value>,
+        I::IntoIter: Clone,
+    {
+        let values = values.into_iter();
+        let mut ty: Option<DataType> = None;
+        for v in values.clone() {
+            let Some(vt) = v.data_type() else { continue };
+            ty = match (ty, vt) {
+                (None, vt) => Some(vt),
+                (Some(DataType::Int), DataType::Float) => Some(DataType::Float),
+                (Some(DataType::Float), DataType::Int) => Some(DataType::Float),
+                (Some(t), vt) if t == vt => Some(t),
+                (Some(t), vt) => {
+                    return Err(StorageError::TypeMismatch {
+                        column: column.to_string(),
+                        expected: t.name().to_string(),
+                        got: vt.name().to_string(),
+                    })
+                }
+            };
+        }
+        let mut chunk = ColumnChunk::for_type(ty.unwrap_or(DataType::Float));
+        for v in values {
+            match (&chunk, v) {
+                (ColumnChunk::Float { .. }, Value::Int(i)) => chunk.push(&Value::Float(*i as f64)),
+                _ => chunk.push(v),
+            }
+        }
+        Ok(chunk)
+    }
+
+    /// Wire size of every value in the chunk: the sum of
+    /// [`Value::wire_size`] over all positions, computed from the typed
+    /// lanes without materializing a value.
+    pub fn wire_size(&self) -> usize {
+        let null_bytes = Value::Null.wire_size();
+        // Fixed-width lanes: every non-NULL slot costs the same.
+        let fixed = |nulls: &Bitmap, each: usize| {
+            nulls.count_ones() * null_bytes + (self.len() - nulls.count_ones()) * each
+        };
+        match self {
+            ColumnChunk::Int { nulls, .. } => fixed(nulls, Value::Int(0).wire_size()),
+            ColumnChunk::Float { nulls, .. } => fixed(nulls, Value::Float(0.0).wire_size()),
+            ColumnChunk::Bool { nulls, .. } => fixed(nulls, Value::Bool(false).wire_size()),
+            ColumnChunk::Str { codes, dict, nulls } => {
+                let empty = Value::Text(String::new()).wire_size();
+                codes
+                    .iter()
+                    .enumerate()
+                    .map(|(p, &c)| {
+                        if nulls.get(p) {
+                            null_bytes
+                        } else {
+                            empty + dict.get(c).len()
+                        }
+                    })
+                    .sum()
+            }
+            ColumnChunk::Bytes { data, nulls } => {
+                let empty = Value::Bytes(Vec::new()).wire_size();
+                data.iter()
+                    .enumerate()
+                    .map(|(p, b)| {
+                        if nulls.get(p) {
+                            null_bytes
+                        } else {
+                            empty + 2 * b.len()
+                        }
+                    })
+                    .sum()
+            }
+        }
+    }
+
     /// Approximate wire size of the value at `pos`, matching
     /// [`Value::wire_size`] without materializing strings.
     pub fn wire_size_at(&self, pos: usize) -> usize {
@@ -599,6 +681,47 @@ mod tests {
         assert_eq!(gf.value_at(0), Value::Null);
         assert_eq!(gf.value_at(1), Value::Float(1.5));
         assert_eq!(gf.value_at(2), Value::Null);
+    }
+
+    #[test]
+    fn from_values_types_widens_and_rejects_mixes() {
+        let vals = [Value::Null, Value::Int(1), Value::Float(2.5)];
+        let c = ColumnChunk::from_values("a", &vals).unwrap();
+        assert_eq!(c.data_type(), DataType::Float);
+        assert_eq!(c.value_at(1), Value::Float(1.0));
+        assert!(c.is_null(0));
+        let none = ColumnChunk::from_values("a", &[Value::Null]).unwrap();
+        assert_eq!(none.data_type(), DataType::Float);
+        let err = ColumnChunk::from_values("a", &[Value::Int(1), Value::Text("x".into())]);
+        assert!(
+            matches!(err, Err(StorageError::TypeMismatch { ref column, .. }) if column == "a"),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn chunk_wire_size_sums_value_wire_sizes() {
+        let cases: Vec<Vec<Value>> = vec![
+            vec![Value::Int(7), Value::Null, Value::Int(-1)],
+            vec![Value::Float(1.5), Value::Null],
+            vec![Value::Bool(true), Value::Null],
+            vec![
+                Value::Text("barrel".into()),
+                Value::Null,
+                Value::Text("barrel".into()),
+                Value::Text(String::new()),
+            ],
+            vec![
+                Value::Bytes(vec![1, 2, 3]),
+                Value::Null,
+                Value::Bytes(vec![]),
+            ],
+        ];
+        for vals in cases {
+            let c = ColumnChunk::from_values("c", &vals).unwrap();
+            let want: usize = vals.iter().map(Value::wire_size).sum();
+            assert_eq!(c.wire_size(), want, "{vals:?}");
+        }
     }
 
     #[test]

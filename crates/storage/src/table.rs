@@ -12,7 +12,7 @@ use crate::column::{Bitmap, ColumnChunk};
 use crate::error::StorageError;
 use crate::index::OrderedIndex;
 use crate::row::Row;
-use crate::schema::Schema;
+use crate::schema::{ColumnDef, Schema};
 use crate::value::Value;
 use crate::Result;
 use std::collections::HashMap;
@@ -68,6 +68,43 @@ impl Table {
             t.indexes.insert(i, OrderedIndex::new());
         }
         t
+    }
+
+    /// Build a table around already-typed column chunks (a query result's
+    /// columns), moving them in without touching a row. Each column is
+    /// nullable and takes its chunk's type. Fails when the name and chunk
+    /// counts differ, a chunk is not `rows` long, or a name repeats.
+    pub fn from_chunks(
+        name: impl Into<String>,
+        columns: Vec<String>,
+        chunks: Vec<ColumnChunk>,
+        rows: usize,
+    ) -> Result<Table> {
+        if chunks.len() != columns.len() {
+            return Err(StorageError::ArityMismatch {
+                expected: columns.len(),
+                got: chunks.len(),
+            });
+        }
+        if let Some((col, chunk)) = columns.iter().zip(&chunks).find(|(_, c)| c.len() != rows) {
+            return Err(StorageError::Invalid(format!(
+                "column `{col}` holds {} values, expected {rows}",
+                chunk.len()
+            )));
+        }
+        let schema = Schema::new(
+            columns
+                .into_iter()
+                .zip(&chunks)
+                .map(|(col, chunk)| ColumnDef::new(col, chunk.data_type()))
+                .collect(),
+        )?;
+        let mut t = Table::new(name, schema);
+        t.columns = chunks;
+        t.physical = rows;
+        t.live = rows;
+        t.tombs = Bitmap::zeros(rows);
+        Ok(t)
     }
 
     /// Table name.
@@ -489,6 +526,39 @@ mod tests {
         t.insert(vec![Value::Null]).unwrap();
         t.insert(vec![Value::Null]).unwrap();
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn from_chunks_scans_like_inserts_and_rejects_bad_shapes() {
+        let mut built = events_table();
+        built
+            .insert(vec![Value::Int(1), Value::Float(2.0), Value::Null])
+            .unwrap();
+        built
+            .insert(vec![
+                Value::Int(2),
+                Value::Float(3.5),
+                Value::Text("x".into()),
+            ])
+            .unwrap();
+        let names = built.schema().names();
+        let chunks = built.chunks().to_vec();
+        let t = Table::from_chunks("copy", names.clone(), chunks.clone(), 2).unwrap();
+        assert_eq!(t.rows(), built.rows());
+        assert_eq!(
+            t.schema().column("detector").unwrap().data_type,
+            DataType::Text
+        );
+
+        let short = Table::from_chunks("t", names.clone(), chunks[..2].to_vec(), 2);
+        assert!(matches!(short, Err(StorageError::ArityMismatch { .. })));
+        let wrong_len = Table::from_chunks("t", names, chunks.clone(), 3);
+        assert!(matches!(wrong_len, Err(StorageError::Invalid(_))));
+        let dup = vec!["a".to_string(), "A".to_string(), "b".to_string()];
+        assert!(matches!(
+            Table::from_chunks("t", dup, chunks, 2),
+            Err(StorageError::Invalid(_))
+        ));
     }
 
     #[test]

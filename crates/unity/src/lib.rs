@@ -144,14 +144,12 @@ impl UnityDriver {
                 cost += conn.cost;
                 let part = conn.value.query_stmt(stmt)?;
                 cost += part.cost;
-                cost += self
-                    .params
-                    .per_row_merge
-                    .scale(part.value.rows.len() as f64);
+                cost += self.params.per_row_merge.scale(part.value.len() as f64);
+                let rows = part.value.into_result_set();
                 match &mut merged {
-                    None => merged = Some(part.value),
+                    None => merged = Some(rows),
                     Some(m) => {
-                        m.append(part.value)
+                        m.append(rows)
                             .map_err(|e| UnityError::Sql(SqlError::Unsupported(e)))?;
                     }
                 }
@@ -180,12 +178,8 @@ impl UnityDriver {
         let conn = self.registry.connect(&loc.url)?;
         cost += conn.cost;
         let part = conn.value.query_stmt(stmt)?;
-        cost += part.cost
-            + self
-                .params
-                .per_row_serialize
-                .scale(part.value.rows.len() as f64);
-        Ok(Timed::new(part.value, cost))
+        cost += part.cost + self.params.per_row_serialize.scale(part.value.len() as f64);
+        Ok(Timed::new(part.value.into_result_set(), cost))
     }
 }
 

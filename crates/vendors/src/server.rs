@@ -8,9 +8,9 @@ use gridfed_faults::{FaultPlan, Injected};
 use gridfed_simnet::cost::Timed;
 use gridfed_simnet::params::CostParams;
 use gridfed_sqlkit::ast::Statement;
-use gridfed_sqlkit::exec::{execute_select, DatabaseProvider};
+use gridfed_sqlkit::exec::{execute_select_columnar, DatabaseProvider};
 use gridfed_sqlkit::render::render_select;
-use gridfed_sqlkit::ResultSet;
+use gridfed_sqlkit::{ColumnarResult, ResultSet};
 use gridfed_storage::{ColumnDef, Database, Row, Schema, Value, WalRecord};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -210,13 +210,18 @@ impl Connection {
     /// Execute a SQL text query. The text must conform to this vendor's
     /// dialect (quoting style, LIMIT availability) or the server rejects it
     /// before parsing — real-driver behaviour the mediator must respect.
+    /// The rows are materialized for the caller; the mediator's path is
+    /// [`Connection::query_stmt`], which hands over columns.
     pub fn query(&self, sql: &str) -> Result<Timed<ResultSet>> {
         self.check_open()?;
         let dialect = self.server.dialect();
         dialect.check_text(sql)?;
         let stmt = gridfed_sqlkit::parser::parse(sql)?;
         match stmt {
-            Statement::Select(sel) => self.run_select(&sel),
+            Statement::Select(sel) => {
+                let t = self.run_select(&sel)?;
+                Ok(Timed::new(t.value.into_result_set(), t.cost))
+            }
             _ => Err(VendorError::Sql(gridfed_sqlkit::SqlError::Unsupported(
                 "query() only accepts SELECT; use execute()".into(),
             ))),
@@ -225,8 +230,12 @@ impl Connection {
 
     /// Render a SELECT in this vendor's dialect and execute it. This is the
     /// path the mediator uses for sub-queries: AST in, dialect text on the
-    /// wire, result + cost out.
-    pub fn query_stmt(&self, stmt: &gridfed_sqlkit::ast::SelectStmt) -> Result<Timed<ResultSet>> {
+    /// wire, result + cost out. The result crosses as owned, typed columns
+    /// gathered out of the backend's tables — no row is built here.
+    pub fn query_stmt(
+        &self,
+        stmt: &gridfed_sqlkit::ast::SelectStmt,
+    ) -> Result<Timed<ColumnarResult>> {
         self.check_open()?;
         let text = render_select(stmt, &self.server.dialect().style());
         // The rendered text must pass the vendor's own dialect check.
@@ -237,18 +246,18 @@ impl Connection {
         // client-side and charging for the extra fetched rows.
         if !self.server.dialect().style_supports_limit() {
             if let Some(limit) = stmt.limit {
-                let extra = timed.value.rows.len().saturating_sub(limit as usize);
-                timed.value.rows.truncate(limit as usize);
+                let extra = timed.value.len().saturating_sub(limit as usize);
+                timed.value.truncate(limit as usize);
                 timed.cost += self.server.params.per_row_fetch.scale(extra as f64);
             }
         }
         Ok(timed)
     }
 
-    fn run_select(&self, sel: &gridfed_sqlkit::ast::SelectStmt) -> Result<Timed<ResultSet>> {
+    fn run_select(&self, sel: &gridfed_sqlkit::ast::SelectStmt) -> Result<Timed<ColumnarResult>> {
         let slow = self.server.fault_check()?;
         let db = self.server.db.read();
-        let result = execute_select(sel, &DatabaseProvider(&db))?;
+        let result = execute_select_columnar(sel, &DatabaseProvider(&db))?;
         // Rows examined: sum of the cardinalities of every referenced table
         // (the engine scans; indexes are a mart-local optimization modeled
         // in the ablation bench).
@@ -261,7 +270,7 @@ impl Connection {
         let perf = self.server.kind.perf_multiplier();
         let cost = (p.per_subquery
             + p.per_row_scan.scale(scanned as f64)
-            + p.per_row_fetch.scale(result.rows.len() as f64))
+            + p.per_row_fetch.scale(result.len() as f64))
         .scale(perf)
         .scale(slow);
         Ok(Timed::new(result, cost))
@@ -569,7 +578,7 @@ mod tests {
         let stmt = parse_select("SELECT e_id FROM events ORDER BY e_id LIMIT 2").unwrap();
         let r = conn.query_stmt(&stmt).unwrap();
         assert_eq!(r.value.len(), 2);
-        assert_eq!(r.value.rows[0].values()[0], Value::Int(1));
+        assert_eq!(r.value.row(0).values()[0], Value::Int(1));
     }
 
     #[test]

@@ -39,6 +39,108 @@ fn malformed_sql_is_a_parse_error() {
 }
 
 #[test]
+fn deeply_nested_sql_is_a_typed_parse_error_not_a_crash() {
+    use gridfed::sqlkit::parser::MAX_NESTING_DEPTH;
+    use gridfed::sqlkit::SqlError;
+
+    let g = grid();
+    let das = g.service(0);
+    let parens = |n: usize| {
+        format!(
+            "SELECT e_id FROM ntuple_events WHERE {}1{} = 1",
+            "(".repeat(n),
+            ")".repeat(n)
+        )
+    };
+    for sql in [
+        parens(5000),
+        format!(
+            "SELECT e_id FROM ntuple_events WHERE {}e_id < 3",
+            "NOT ".repeat(5000)
+        ),
+        format!(
+            "SELECT e_id FROM ntuple_events WHERE e_id < {}1",
+            "- ".repeat(5000)
+        ),
+    ] {
+        match das.query(&sql) {
+            Err(CoreError::Sql(SqlError::Parse { message, .. })) => {
+                assert!(message.contains("nested deeper"), "{message}")
+            }
+            other => panic!("expected a depth error, got {other:?}"),
+        }
+    }
+    // Nesting inside the bound still runs end to end: parse, plan,
+    // optimize, execute, render.
+    let ok = das.query(&parens(MAX_NESTING_DEPTH / 2)).unwrap();
+    assert!(!ok.value.result.is_empty());
+    let nots = das
+        .query(&format!(
+            "SELECT e_id FROM ntuple_events WHERE {}e_id < 3",
+            "NOT NOT ".repeat(MAX_NESTING_DEPTH / 4)
+        ))
+        .unwrap();
+    assert_eq!(nots.value.result.len(), 3);
+    let negs = das
+        .query(&format!(
+            "SELECT e_id FROM ntuple_events WHERE e_id < {}3",
+            "- - ".repeat(MAX_NESTING_DEPTH / 4)
+        ))
+        .unwrap();
+    assert_eq!(negs.value.result.len(), 3);
+    // The mediator is still healthy.
+    assert!(das
+        .query("SELECT e_id FROM ntuple_events WHERE e_id < 2")
+        .is_ok());
+}
+
+#[test]
+fn panicking_inline_branch_is_contained() {
+    use gridfed::simnet::cost::Timed;
+    use gridfed::vendors::{Connection, ConnectionString, Driver, DriverRegistry};
+    use std::sync::Arc;
+
+    struct PanickingDriver;
+    impl Driver for PanickingDriver {
+        fn vendor(&self) -> VendorKind {
+            VendorKind::MsSql
+        }
+        fn connect(
+            &self,
+            _conn: &ConnectionString,
+            _registry: &DriverRegistry,
+        ) -> Result<Timed<Connection>, VendorError> {
+            panic!("driver bug while connecting");
+        }
+    }
+
+    let g = grid();
+    // run_summary lives on the unpooled mart_mssql, so its branch of a
+    // Fig-6 join connects through the registry — into the panic. Both
+    // waves of the join hold one branch, which runs on the dispatching
+    // thread.
+    g.registry.install(Arc::new(PanickingDriver));
+    let err = g
+        .query(
+            "SELECT e.e_id, e.energy, s.avg_value FROM ntuple_events e \
+             JOIN run_summary s ON e.run_id = s.run_id WHERE e.e_id < 21",
+        )
+        .unwrap_err();
+    match err {
+        CoreError::BranchPanic { branch, detail } => {
+            assert!(branch.contains("local database `mart_mssql`"), "{branch}");
+            assert!(detail.contains("driver bug"), "{detail}");
+        }
+        other => panic!("expected a contained branch panic, got {other:?}"),
+    }
+    // The same mediator keeps answering.
+    let single = g
+        .query("SELECT e_id FROM ntuple_events WHERE e_id < 5")
+        .unwrap();
+    assert_eq!(single.result.len(), 5);
+}
+
+#[test]
 fn unknown_column_propagates_from_backend() {
     let g = grid();
     let err = g
