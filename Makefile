@@ -3,9 +3,9 @@
 # lints, formatting, and a smoke run of every criterion bench (one
 # iteration each, no timing).
 
-.PHONY: verify build test lint fmt bench bench-smoke chaos obs profile marts repl stress distjoin
+.PHONY: verify build test lint fmt bench bench-smoke chaos obs profile marts repl stress distjoin gfbench-check
 
-verify: build test chaos obs profile marts repl stress distjoin lint fmt bench-smoke
+verify: build test chaos obs profile marts repl stress distjoin gfbench-check lint fmt bench-smoke
 
 build:
 	cargo build --release
@@ -72,3 +72,10 @@ distjoin:
 # thin synchronization bugs actually race.
 stress:
 	cargo test -q --release --test concurrency
+
+# End-to-end benchmark output checks: one second of each gfbench workload.
+# Exits 1 on any failed check (Fig-6 row counts, distjoin equal to full
+# scatter, analytic results equal to direct execution) at data sizes the
+# unit suites do not reach. About 45 s plus the gfbench build.
+gfbench-check:
+	cargo run --release --offline --quiet --manifest-path gfbench/Cargo.toml -- --workload all --seed 1 --seconds 1 --trace 0

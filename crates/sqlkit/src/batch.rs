@@ -34,12 +34,14 @@
 //! the same errors surfacing.
 
 use crate::ast::BinaryOp;
+use crate::bloom::BloomFilter;
 use crate::compile::{CompiledExpr, KeyValue};
 use crate::error::SqlError;
 use crate::expr::{cmp_matches, like_match_chars, truth, Bindings};
 use crate::Result;
-use gridfed_storage::{ColumnChunk, Value};
+use gridfed_storage::{Bitmap, ColumnChunk, Value};
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// Default rows per accounting batch: selection vectors are processed in
 /// windows of this many entries. The effective window is configurable per
@@ -275,10 +277,14 @@ pub(crate) enum BoolKernel {
     },
     /// `column IS [NOT] NULL`.
     IsNull { col: usize, negated: bool },
-    /// `column [NOT] IN (literal, ...)`.
+    /// `column [NOT] IN (literal, ...)`. The candidate set is built once,
+    /// when the kernel is compiled, in the form the column's lane probes
+    /// fastest ([`InSet`]); NULL items only set `has_null`. Full 3VL: a
+    /// NULL operand is unknown, a miss is unknown when `has_null`, and
+    /// `NOT IN` negates only the known verdicts.
     InList {
         col: usize,
-        items: Vec<Value>,
+        set: InSet,
         has_null: bool,
         negated: bool,
     },
@@ -299,12 +305,82 @@ pub(crate) enum BoolKernel {
     /// A bare column as predicate — only over INT / BOOL chunks, where
     /// `truth()` cannot error.
     Truth { col: usize },
+    /// `BLOOM_HAS(column, '<hex>')` whose payload decoded at compile time:
+    /// probes the column's hash key directly, no value materialized.
+    Bloom {
+        col: usize,
+        filter: Arc<BloomFilter>,
+    },
     /// 3VL NOT.
     Not(Box<BoolKernel>),
     /// 3VL AND (both sides infallible, so eager evaluation is safe).
     And(Box<BoolKernel>, Box<BoolKernel>),
     /// 3VL OR.
     Or(Box<BoolKernel>, Box<BoolKernel>),
+}
+
+/// The non-NULL candidates of an IN-list kernel.
+pub(crate) enum InSet {
+    /// INT lane, every item INT: sorted, de-duplicated keys probed by
+    /// binary search.
+    Ints(Vec<i64>),
+    /// String lane, every item TEXT: one verdict per dictionary code.
+    Codes(Vec<bool>),
+    /// Any other mix of lane and item types: a linear `sql_eq` scan.
+    Values(Vec<Value>),
+}
+
+impl InSet {
+    /// Build the set for `items` (no NULLs) probed against `col`.
+    fn build(col: Option<&ColumnChunk>, items: Vec<Value>) -> InSet {
+        match col {
+            Some(ColumnChunk::Int { .. }) if items.iter().all(|v| matches!(v, Value::Int(_))) => {
+                let mut keys: Vec<i64> = items
+                    .iter()
+                    .filter_map(|v| match v {
+                        Value::Int(i) => Some(*i),
+                        _ => None,
+                    })
+                    .collect();
+                keys.sort_unstable();
+                keys.dedup();
+                InSet::Ints(keys)
+            }
+            Some(ColumnChunk::Str { dict, .. })
+                if items.iter().all(|v| matches!(v, Value::Text(_))) =>
+            {
+                let mut verdicts = vec![false; dict.len()];
+                for item in &items {
+                    if let Value::Text(t) = item {
+                        if let Some(code) = dict.code_of(t) {
+                            verdicts[code as usize] = true;
+                        }
+                    }
+                }
+                InSet::Codes(verdicts)
+            }
+            _ => InSet::Values(items),
+        }
+    }
+
+    /// Whether the value at `pos` of `col` (the column the set was built
+    /// for) equals a candidate; `None` for a NULL operand.
+    #[inline]
+    fn contains(&self, col: &ColData<'_>, pos: usize) -> Option<bool> {
+        match (self, col.chunk()) {
+            (InSet::Ints(keys), Some(ColumnChunk::Int { data, nulls })) => {
+                (!nulls.get(pos)).then(|| keys.binary_search(&data[pos]).is_ok())
+            }
+            (InSet::Codes(verdicts), Some(ColumnChunk::Str { codes, nulls, .. })) => {
+                (!nulls.get(pos)).then(|| verdicts[codes[pos] as usize])
+            }
+            (InSet::Values(items), _) => {
+                let v = col.val_ref(pos);
+                (!v.is_null()).then(|| items.iter().any(|item| v.sql_eq(&ValRef::of(item))))
+            }
+            _ => unreachable!("IN-list set compiled over a different lane"),
+        }
+    }
 }
 
 /// Try to lower `expr` to an infallible kernel over `cols`.
@@ -343,16 +419,17 @@ pub(crate) fn compile_kernel(expr: &CompiledExpr, cols: &[ColData<'_>]) -> Optio
                 return None;
             };
             let mut items = Vec::with_capacity(list.len());
+            let mut has_null = false;
             for item in list {
                 match item {
+                    CompiledExpr::Literal(Value::Null) => has_null = true,
                     CompiledExpr::Literal(v) => items.push(v.clone()),
                     _ => return None,
                 }
             }
-            let has_null = items.iter().any(Value::is_null);
             Some(BoolKernel::InList {
                 col: *pos,
-                items,
+                set: InSet::build(cols.get(*pos).and_then(ColData::chunk), items),
                 has_null,
                 negated: *negated,
             })
@@ -389,6 +466,16 @@ pub(crate) fn compile_kernel(expr: &CompiledExpr, cols: &[ColData<'_>]) -> Optio
             }
             _ => None,
         },
+        CompiledExpr::BloomHas {
+            expr,
+            filter: Ok(filter),
+        } => match expr.as_ref() {
+            CompiledExpr::Column(pos) => Some(BoolKernel::Bloom {
+                col: *pos,
+                filter: Arc::clone(filter),
+            }),
+            _ => None,
+        },
         CompiledExpr::Unary {
             op: crate::ast::UnaryOp::Not,
             expr,
@@ -423,20 +510,13 @@ impl BoolKernel {
             }
             BoolKernel::InList {
                 col,
-                items,
+                set,
                 has_null,
                 negated,
             } => {
-                let v = cols[*col].val_ref(pos);
-                if v.is_null() {
-                    return None;
-                }
-                for item in items {
-                    if !item.is_null() && v.sql_eq(&ValRef::of(item)) {
-                        return Some(!negated);
-                    }
-                }
-                if *has_null {
+                if set.contains(&cols[*col], pos)? {
+                    Some(!negated)
+                } else if *has_null {
                     None
                 } else {
                     Some(*negated)
@@ -472,6 +552,9 @@ impl BoolKernel {
                 ValRef::Int(i) => Some(i != 0),
                 _ => unreachable!("truth kernel compiled over a non-boolean column"),
             },
+            BoolKernel::Bloom { col, filter } => cols[*col]
+                .key_at(pos)
+                .map(|key| filter.might_contain_key(&key)),
             BoolKernel::Not(k) => k.eval_at(cols, pos).map(|b| !b),
             BoolKernel::And(a, b) => match (a.eval_at(cols, pos), b.eval_at(cols, pos)) {
                 (Some(false), _) | (_, Some(false)) => Some(false),
@@ -578,7 +661,45 @@ pub(crate) fn refine(kernel: &BoolKernel, cols: &[ColData<'_>], sel: &mut Vec<u3
             }
         }
     }
+    if let BoolKernel::InList {
+        col,
+        set,
+        has_null,
+        negated,
+    } = kernel
+    {
+        // Which non-NULL operands survive: matches unless negated, misses
+        // only under NOT IN without a NULL item.
+        let keep = (!*negated, *negated && !*has_null);
+        match (set, cols[*col].chunk()) {
+            (InSet::Ints(keys), Some(ColumnChunk::Int { data, nulls })) => {
+                return retain_in(sel, nulls, keep, |p| keys.binary_search(&data[p]).is_ok());
+            }
+            (InSet::Codes(verdicts), Some(ColumnChunk::Str { codes, nulls, .. })) => {
+                return retain_in(sel, nulls, keep, |p| verdicts[codes[p] as usize]);
+            }
+            _ => {}
+        }
+    }
     retain_sel(sel, |p| kernel.eval_at(cols, p) == Some(true));
+}
+
+/// Keep the non-NULL positions whose IN verdict survives: `hit` says
+/// whether the operand at a position matched a candidate, and
+/// `(keep_hit, keep_miss)` which outcome the predicate keeps.
+#[inline]
+fn retain_in(
+    sel: &mut Vec<u32>,
+    nulls: &Bitmap,
+    (keep_hit, keep_miss): (bool, bool),
+    hit: impl Fn(usize) -> bool,
+) {
+    let keep = |p: usize| if hit(p) { keep_hit } else { keep_miss };
+    if nulls.any() {
+        retain_sel(sel, |p| !nulls.get(p) && keep(p));
+    } else {
+        retain_sel(sel, keep);
+    }
 }
 
 /// Keep rows where the kernel is *not strictly false* — the rows on which a
@@ -620,10 +741,52 @@ pub(crate) fn refine_generic(
     sel.truncate(out);
 }
 
-/// Apply one compiled filter to the selection, choosing between the
-/// infallible kernel path, an `AND` split, and the generic fallback.
-///
-/// Charges one batch window count for the pass.
+/// One filter lowered against a relation's columns: the kernels it runs
+/// and where the generic evaluator takes over. Built once per filter node
+/// by [`plan_filter`], so every morsel of a parallel pass shares the
+/// kernels and their lookup structures (IN-list sets, dictionary
+/// verdicts) instead of rebuilding them.
+pub(crate) enum FilterPlan<'e> {
+    /// The whole predicate is an infallible kernel.
+    Kernel(BoolKernel),
+    /// `left AND right` with an infallible right conjunct: rows dropped by
+    /// the left side (non-true or deferred error) never see it, rows kept
+    /// get refined — identical to the row-major 3VL AND.
+    AndKernel(Box<FilterPlan<'e>>, BoolKernel),
+    /// `left AND right` with an infallible left conjunct but a fallible
+    /// right one. The row-major AND short-circuits *only* on a
+    /// strictly-false left (a NULL left still evaluates the right, which
+    /// may error), so the strictly-false rows are pre-dropped and the full
+    /// conjunction runs on the survivors.
+    DropFalse(BoolKernel, &'e CompiledExpr),
+    /// The generic scratch-row evaluator with deferred errors.
+    Generic(&'e CompiledExpr),
+}
+
+/// Lower one compiled filter over `cols`, choosing between the infallible
+/// kernel path, an `AND` split, and the generic fallback.
+pub(crate) fn plan_filter<'e>(expr: &'e CompiledExpr, cols: &[ColData<'_>]) -> FilterPlan<'e> {
+    if let Some(kernel) = compile_kernel(expr, cols) {
+        return FilterPlan::Kernel(kernel);
+    }
+    if let CompiledExpr::Binary {
+        left,
+        op: BinaryOp::And,
+        right,
+    } = expr
+    {
+        if let Some(rk) = compile_kernel(right, cols) {
+            return FilterPlan::AndKernel(Box::new(plan_filter(left, cols)), rk);
+        }
+        if let Some(lk) = compile_kernel(left, cols) {
+            return FilterPlan::DropFalse(lk, expr);
+        }
+    }
+    FilterPlan::Generic(expr)
+}
+
+/// Apply one compiled filter to the selection ([`plan_filter`] then
+/// [`apply_filter_plan`]).
 pub(crate) fn apply_filter(
     expr: &CompiledExpr,
     cols: &[ColData<'_>],
@@ -632,44 +795,43 @@ pub(crate) fn apply_filter(
     errors: &mut Vec<(u32, SqlError)>,
     batches: &mut u64,
 ) {
-    *batches += n_batches(sel.len());
-    apply_filter_inner(expr, cols, arity, sel, errors);
+    apply_filter_plan(&plan_filter(expr, cols), cols, arity, sel, errors, batches);
 }
 
-fn apply_filter_inner(
-    expr: &CompiledExpr,
+/// Apply a lowered filter to the selection, deferring per-row errors.
+///
+/// Charges one batch window count for the pass.
+pub(crate) fn apply_filter_plan(
+    plan: &FilterPlan<'_>,
+    cols: &[ColData<'_>],
+    arity: usize,
+    sel: &mut Vec<u32>,
+    errors: &mut Vec<(u32, SqlError)>,
+    batches: &mut u64,
+) {
+    *batches += n_batches(sel.len());
+    run_filter_plan(plan, cols, arity, sel, errors);
+}
+
+fn run_filter_plan(
+    plan: &FilterPlan<'_>,
     cols: &[ColData<'_>],
     arity: usize,
     sel: &mut Vec<u32>,
     errors: &mut Vec<(u32, SqlError)>,
 ) {
-    if let Some(kernel) = compile_kernel(expr, cols) {
-        refine(&kernel, cols, sel);
-        return;
-    }
-    if let CompiledExpr::Binary { left, op, right } = expr {
-        if *op == BinaryOp::And {
-            if let Some(rk) = compile_kernel(right, cols) {
-                // Right conjunct is infallible: rows dropped by the left
-                // side (non-true or deferred error) never see it, rows kept
-                // get refined — identical to the row-major 3VL AND.
-                apply_filter_inner(left, cols, arity, sel, errors);
-                refine(&rk, cols, sel);
-                return;
-            }
-            if let Some(lk) = compile_kernel(left, cols) {
-                // Left conjunct is infallible but the right is not. The
-                // row-major AND short-circuits *only* on a strictly-false
-                // left (a NULL left still evaluates the right, which may
-                // error), so pre-drop the strictly-false rows and run the
-                // full conjunction on the survivors.
-                refine_not_false(&lk, cols, sel);
-                refine_generic(expr, cols, arity, sel, errors);
-                return;
-            }
+    match plan {
+        FilterPlan::Kernel(k) => refine(k, cols, sel),
+        FilterPlan::AndKernel(left, rk) => {
+            run_filter_plan(left, cols, arity, sel, errors);
+            refine(rk, cols, sel);
         }
+        FilterPlan::DropFalse(lk, expr) => {
+            refine_not_false(lk, cols, sel);
+            refine_generic(expr, cols, arity, sel, errors);
+        }
+        FilterPlan::Generic(expr) => refine_generic(expr, cols, arity, sel, errors),
     }
-    refine_generic(expr, cols, arity, sel, errors);
 }
 
 /// Resolve deferred per-row errors: report the error at the minimum row

@@ -6,8 +6,8 @@
 //! way the mediator's own hash join keys them — otherwise a key the join
 //! would match could be filtered out at the source, which would change the
 //! answer. Both ends therefore use this module: the same fixed seeds, the
-//! same fixed probe count, and the same canonicalization as
-//! [`KeyValue`](crate::compile::KeyValue) (INT and FLOAT fold through
+//! same fixed probe count, and the same keys: filters hash the
+//! [`KeyValue`] of a value (INT and FLOAT fold through
 //! canonical IEEE-754 bits, every NaN is one key, `-0.0` folds into
 //! `0.0`). SQL NULL has no key: inserting it is a no-op and probing it
 //! returns `false`, matching how the inner join drops NULL keys.
@@ -17,9 +17,8 @@
 //! possible: a bit pattern can admit an extra row (harmless — the
 //! mediator's join discards it) but can never reject a genuine key.
 
-use crate::compile::canonical_value_bits;
+use crate::compile::KeyValue;
 use gridfed_storage::Value;
-use std::cell::RefCell;
 
 /// Probes per key. Fixed so every mediator revision computes identical
 /// filters from identical key sets.
@@ -65,9 +64,10 @@ impl BloomFilter {
 
     /// Insert a value's key. SQL NULL has no key and is skipped.
     pub fn insert(&mut self, v: &Value) {
-        let Some((h1, h2)) = hash_pair(v) else {
+        let Some(key) = KeyValue::of(v) else {
             return;
         };
+        let (h1, h2) = hash_pair(&key);
         let mask = (self.bit_len() - 1) as u64;
         for i in 0..BLOOM_PROBES as u64 {
             let bit = (h1.wrapping_add(i.wrapping_mul(h2)) & mask) as usize;
@@ -78,9 +78,13 @@ impl BloomFilter {
     /// Whether the value's key may be in the set (`false` is definitive;
     /// NULL probes `false`, matching the join's NULL-key drop).
     pub fn might_contain(&self, v: &Value) -> bool {
-        let Some((h1, h2)) = hash_pair(v) else {
-            return false;
-        };
+        KeyValue::of(v).is_some_and(|key| self.might_contain_key(&key))
+    }
+
+    /// [`BloomFilter::might_contain`] for an already-built hash key, so
+    /// column kernels probe without materializing a [`Value`].
+    pub(crate) fn might_contain_key(&self, key: &KeyValue<'_>) -> bool {
+        let (h1, h2) = hash_pair(key);
         let mask = (self.bit_len() - 1) as u64;
         (0..BLOOM_PROBES as u64).all(|i| {
             let bit = (h1.wrapping_add(i.wrapping_mul(h2)) & mask) as usize;
@@ -132,32 +136,23 @@ fn hex_nibble(c: u8) -> Result<u8, String> {
     }
 }
 
-/// The two double-hashing streams of a value's canonical key; `None` for
-/// SQL NULL. `h2` is forced odd so probes cycle the whole (power-of-two)
-/// bit space.
-fn hash_pair(v: &Value) -> Option<(u64, u64)> {
-    let (tag, bytes) = canonical_key_bytes(v)?;
-    let h1 = fnv1a(SEED_H1, tag, &bytes);
-    let h2 = fnv1a(SEED_H2, tag, &bytes) | 1;
-    Some((h1, h2))
-}
-
-/// Canonical tagged bytes of a value's key, mirroring
-/// [`KeyValue`](crate::compile::KeyValue) equality exactly.
-fn canonical_key_bytes(v: &Value) -> Option<(u8, Vec<u8>)> {
-    match v {
-        Value::Null => None,
-        Value::Int(_) | Value::Float(_) => Some((
-            b'n',
-            canonical_value_bits(v)
-                .expect("numeric value has canonical bits")
-                .to_le_bytes()
-                .to_vec(),
-        )),
-        Value::Text(s) => Some((b't', s.as_bytes().to_vec())),
-        Value::Bool(b) => Some((b'b', vec![*b as u8])),
-        Value::Bytes(b) => Some((b'y', b.clone())),
-    }
+/// The two double-hashing streams of a canonical key. `h2` is forced odd
+/// so probes cycle the whole (power-of-two) bit space.
+fn hash_pair(key: &KeyValue<'_>) -> (u64, u64) {
+    // Tagged key bytes: equal keys, equal bytes.
+    let num;
+    let (tag, bytes): (u8, &[u8]) = match key {
+        KeyValue::Num(bits) => {
+            num = bits.to_le_bytes();
+            (b'n', &num)
+        }
+        KeyValue::Text(s) => (b't', s.as_bytes()),
+        KeyValue::Bool(b) => (b'b', if *b { &[1] } else { &[0] }),
+        KeyValue::Bytes(b) => (b'y', b),
+    };
+    let h1 = fnv1a(SEED_H1, tag, bytes);
+    let h2 = fnv1a(SEED_H2, tag, bytes) | 1;
+    (h1, h2)
 }
 
 fn fnv1a(seed: u64, tag: u8, bytes: &[u8]) -> u64 {
@@ -169,28 +164,11 @@ fn fnv1a(seed: u64, tag: u8, bytes: &[u8]) -> u64 {
     h
 }
 
-thread_local! {
-    /// One-slot decode cache: `BLOOM_HAS` probes the same literal for every
-    /// row of a scan, so the hex payload is decoded once per filter rather
-    /// than once per row.
-    static PROBE_CACHE: RefCell<Option<(String, BloomFilter)>> = const { RefCell::new(None) };
-}
-
-/// Probe a hex-encoded filter with a value, caching the last decoded
-/// filter per thread. This is the `BLOOM_HAS` evaluation path.
+/// Probe a hex-encoded filter with a value, decoding the payload on every
+/// call. This is the interpreted `BLOOM_HAS` path; compiled expressions
+/// decode a literal payload once (`CompiledExpr::BloomHas`).
 pub fn probe_hex(hex: &str, v: &Value) -> Result<bool, String> {
-    PROBE_CACHE.with(|cache| {
-        let mut slot = cache.borrow_mut();
-        if let Some((cached_hex, filter)) = slot.as_ref() {
-            if cached_hex == hex {
-                return Ok(filter.might_contain(v));
-            }
-        }
-        let filter = BloomFilter::from_hex(hex)?;
-        let hit = filter.might_contain(v);
-        *slot = Some((hex.to_string(), filter));
-        Ok(hit)
-    })
+    Ok(BloomFilter::from_hex(hex)?.might_contain(v))
 }
 
 #[cfg(test)]

@@ -6,7 +6,8 @@
 //! per row), literal-only subtrees are pre-folded, and LIKE patterns are
 //! pre-split into characters. Steady-state evaluation then does zero string
 //! comparison and zero allocation for column access — the per-row cost the
-//! mediator pays on every federated merge.
+//! mediator pays on every federated merge. A `BLOOM_HAS` call with a
+//! literal payload decodes its filter here too, once per compile.
 //!
 //! Two companion pieces live here as well:
 //!
@@ -29,6 +30,7 @@
 //! at evaluation time, exactly when the interpreter would raise it.
 
 use crate::ast::{AggFunc, BinaryOp, Expr, ScalarFunc, UnaryOp};
+use crate::bloom::BloomFilter;
 use crate::error::SqlError;
 use crate::expr::{
     cmp_matches, eval_arithmetic, eval_scalar_func, like_match_chars, truth, Bindings,
@@ -36,6 +38,7 @@ use crate::expr::{
 use crate::Result;
 use gridfed_storage::Value;
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// An expression with all name resolution and constant work done up front.
 ///
@@ -117,6 +120,16 @@ pub enum CompiledExpr {
         pattern: Vec<char>,
         /// Negation flag.
         negated: bool,
+    },
+    /// `BLOOM_HAS(expr, '<hex>')` with a literal payload, decoded once
+    /// here instead of on every row. A malformed payload keeps its decode
+    /// error, raised on the first row with a non-NULL operand — exactly
+    /// when per-row evaluation of the call would raise it.
+    BloomHas {
+        /// The probed operand.
+        expr: Box<CompiledExpr>,
+        /// The decoded filter, or the payload's decode error.
+        filter: std::result::Result<Arc<BloomFilter>, String>,
     },
     /// Scalar function call.
     Func {
@@ -211,13 +224,21 @@ pub fn compile(expr: &Expr, bindings: &Bindings) -> Result<CompiledExpr> {
             pattern: pattern.chars().collect(),
             negated: *negated,
         },
-        Expr::Func { func, args } => CompiledExpr::Func {
-            func: *func,
-            args: args
+        Expr::Func { func, args } => {
+            let args: Vec<CompiledExpr> = args
                 .iter()
                 .map(|a| compile(a, bindings))
-                .collect::<Result<_>>()?,
-        },
+                .collect::<Result<_>>()?;
+            match (func, args.as_slice()) {
+                (ScalarFunc::BloomHas, [operand, CompiledExpr::Literal(Value::Text(hex))]) => {
+                    CompiledExpr::BloomHas {
+                        expr: Box::new(operand.clone()),
+                        filter: BloomFilter::from_hex(hex).map(Arc::new),
+                    }
+                }
+                _ => CompiledExpr::Func { func: *func, args },
+            }
+        }
         Expr::Aggregate { .. } => {
             return Err(SqlError::Eval(
                 "aggregate call outside aggregation context".into(),
@@ -258,9 +279,9 @@ impl CompiledExpr {
             CompiledExpr::Column(_)
             | CompiledExpr::CmpColumnLiteral { .. }
             | CompiledExpr::CmpColumnColumn { .. } => false,
-            CompiledExpr::Unary { expr, .. } | CompiledExpr::IsNull { expr, .. } => {
-                expr.is_constant()
-            }
+            CompiledExpr::Unary { expr, .. }
+            | CompiledExpr::IsNull { expr, .. }
+            | CompiledExpr::BloomHas { expr, .. } => expr.is_constant(),
             CompiledExpr::Binary { left, right, .. } => left.is_constant() && right.is_constant(),
             CompiledExpr::InList { expr, list, .. } => {
                 expr.is_constant() && list.iter().all(CompiledExpr::is_constant)
@@ -383,6 +404,16 @@ impl CompiledExpr {
                     ))),
                 }
             }
+            CompiledExpr::BloomHas { expr, filter } => {
+                let v = expr.eval(row)?;
+                if v.is_null() {
+                    return Ok(Value::Null);
+                }
+                match filter {
+                    Ok(f) => Ok(Value::Bool(f.might_contain(&v))),
+                    Err(e) => Err(SqlError::Eval(e.clone())),
+                }
+            }
             CompiledExpr::Func { func, args } => {
                 let mut vals = Vec::with_capacity(args.len());
                 for a in args {
@@ -438,7 +469,8 @@ impl CompiledExpr {
             }
             CompiledExpr::Unary { expr, .. }
             | CompiledExpr::IsNull { expr, .. }
-            | CompiledExpr::Like { expr, .. } => expr.collect_positions(out),
+            | CompiledExpr::Like { expr, .. }
+            | CompiledExpr::BloomHas { expr, .. } => expr.collect_positions(out),
             CompiledExpr::Binary { left, right, .. } => {
                 left.collect_positions(out);
                 right.collect_positions(out);
@@ -530,16 +562,6 @@ impl<'a> KeyValue<'a> {
     /// GROUP BY directly off typed column chunks with this.
     pub fn num(x: f64) -> KeyValue<'static> {
         KeyValue::Num(canonical_f64_bits(x))
-    }
-}
-
-/// Canonical numeric key bits of a value (`None` for non-numerics); the
-/// bloom layer hashes these so filter keys fold exactly like [`KeyValue`].
-pub(crate) fn canonical_value_bits(v: &Value) -> Option<u64> {
-    match v {
-        Value::Int(i) => Some(canonical_f64_bits(*i as f64)),
-        Value::Float(x) => Some(canonical_f64_bits(*x)),
-        _ => None,
     }
 }
 

@@ -35,7 +35,10 @@
 //! error-order-identical to the sequential pass (see `crate::par`).
 
 use crate::ast::{DeleteStmt, Expr, JoinKind, OrderItem, SelectItem, SelectStmt, UpdateStmt};
-use crate::batch::{apply_filter, n_batches, take_first_error, ColData, ColRelation};
+use crate::batch::{
+    apply_filter, apply_filter_plan, n_batches, plan_filter, take_first_error, ColData,
+    ColRelation, FilterPlan,
+};
 use crate::compile::{compile, compile_group, CompiledAggregate, CompiledExpr, KeyValue};
 use crate::error::SqlError;
 use crate::expr::{AggState, Bindings};
@@ -486,9 +489,9 @@ fn execute_node_inner(
 }
 
 /// A projection's output rows (plus hidden ORDER BY key columns). Late
-/// materialization: only expression items touch a scratch row, and only
-/// the columns they actually reference are gathered into it; positional
-/// items copy straight out of the chunks.
+/// materialization: wildcard items, bare column items and bare column sort
+/// keys copy straight out of the chunks; only real expressions touch a
+/// scratch row, and only the columns they reference are gathered into it.
 fn project_rows(
     rel: &ColRelation<'_>,
     items: &[SelectItem],
@@ -503,47 +506,84 @@ fn project_rows(
     })?;
     let columns: Vec<String> = plans.iter().map(|(n, _)| n.clone()).collect();
     let arity = rel.bindings.arity();
-    let item_exprs = plans.iter().filter_map(|(_, plan)| match plan {
-        ItemPlan::Expr(e) => Some(e),
-        ItemPlan::Position(_) => None,
+    let slots = output_slots(&plans, &key_plans, arity);
+    let exprs = slots.iter().filter_map(|slot| match slot {
+        Slot::Expr(e) => Some(*e),
+        _ => None,
     });
-    let key_exprs = key_plans.iter().filter_map(|kp| match kp {
-        SortKeyPlan::Input(e) => Some(e),
-        SortKeyPlan::Output(_) => None,
-    });
-    let needed = scratch_positions(item_exprs.chain(key_exprs), arity);
+    let needed = scratch_positions(exprs, arity);
     let cfg = par::current_exec_config();
     let rows = if par::should_parallelize(&cfg, rel.sel.len()) {
-        par_materialize_project(&cfg, rel, &plans, &key_plans, &needed, arity, keys.len(), m)?
+        par_materialize_project(&cfg, rel, &slots, &needed, m)?
     } else {
-        let mut scratch = vec![Value::Null; arity];
-        let mut rows = Vec::with_capacity(rel.sel.len());
-        for &s in &rel.sel {
-            let p = s as usize;
-            for &c in &needed {
-                scratch[c] = rel.cols[c].value_at(p);
-            }
-            let mut values = Vec::with_capacity(plans.len() + keys.len());
-            for (_, plan) in &plans {
-                match plan {
-                    ItemPlan::Position(q) => values.push(rel.cols[*q].value_at(p)),
-                    ItemPlan::Expr(e) => values.push(e.eval(&scratch)?),
-                }
-            }
-            for kp in &key_plans {
-                let key = match kp {
-                    SortKeyPlan::Output(q) => values[*q].clone(),
-                    SortKeyPlan::Input(e) => e.eval(&scratch)?,
-                };
-                values.push(key);
-            }
-            rows.push(Row::new(values));
-        }
-        rows
+        materialize(rel, &slots, &needed, &rel.sel)?
     };
     m.rows_materialized += rows.len() as u64;
     m.batches += n_batches(rel.sel.len());
     Ok(ResultSet { columns, rows })
+}
+
+/// Where one materialized output value comes from.
+enum Slot<'e> {
+    /// Read straight from the input column at this position.
+    Input(usize),
+    /// Evaluate over the scratch row.
+    Expr(&'e CompiledExpr),
+    /// Copy the output value already produced at this index (a sort key
+    /// that names an output column).
+    Output(usize),
+}
+
+/// A projection's items, then its sort keys, as [`Slot`]s. A bare column
+/// in range of the input reads its chunk like a wildcard position does.
+fn output_slots<'e>(
+    plans: &'e [(String, ItemPlan)],
+    key_plans: &'e [SortKeyPlan],
+    arity: usize,
+) -> Vec<Slot<'e>> {
+    let expr = |e: &'e CompiledExpr| match e {
+        CompiledExpr::Column(q) if *q < arity => Slot::Input(*q),
+        e => Slot::Expr(e),
+    };
+    let items = plans.iter().map(|(_, plan)| match plan {
+        ItemPlan::Position(q) => Slot::Input(*q),
+        ItemPlan::Expr(e) => expr(e),
+    });
+    let keys = key_plans.iter().map(|kp| match kp {
+        SortKeyPlan::Output(q) => Slot::Output(*q),
+        SortKeyPlan::Input(e) => expr(e),
+    });
+    items.chain(keys).collect()
+}
+
+/// Materialize one output row per position of `sel` (a whole selection or
+/// one morsel of it). Each row's values are produced left to right and the
+/// rows in `sel` order, so the first error is the row-major one.
+fn materialize(
+    rel: &ColRelation<'_>,
+    slots: &[Slot<'_>],
+    needed: &[usize],
+    sel: &[u32],
+) -> Result<Vec<Row>> {
+    let mut scratch = vec![Value::Null; rel.bindings.arity()];
+    let mut rows = Vec::with_capacity(sel.len());
+    for &s in sel {
+        let p = s as usize;
+        for &c in needed {
+            scratch[c] = rel.cols[c].value_at(p);
+        }
+        let mut values: Vec<Value> = Vec::with_capacity(slots.len());
+        for slot in slots {
+            let v = match slot {
+                Slot::Input(q) => rel.cols[*q].value_at(p),
+                Slot::Expr(e) => e.eval(&scratch)?,
+                Slot::Output(q) => values[*q].clone(),
+            };
+            values.push(v);
+        }
+        rows.push(Row::new(values));
+    }
+    Ok(rows)
 }
 
 /// Decorate-sort-undecorate for a fused `Strip { Sort }` (optionally under a
@@ -901,8 +941,9 @@ fn note_parallel(m: &mut ExecMetrics, cfg: &ExecConfig, n: usize) {
     m.workers = m.workers.max(cfg.workers.min(n) as u64);
 }
 
-/// Apply all `filters` to `sel` morsel-parallel: each morsel refines its
-/// own slice of the selection through the full filter chain, and the
+/// Apply all `filters` to `sel` morsel-parallel: each filter is lowered
+/// once ([`plan_filter`]) and shared by every morsel, each morsel refines
+/// its own slice of the selection through the full filter chain, and the
 /// refined slices concatenate in morsel order (positions stay ascending,
 /// exactly the sequential refinement). The set of `(filter, row)`
 /// evaluations is identical to the sequential pass — a later filter only
@@ -919,15 +960,16 @@ fn par_apply_filters(
     errors: &mut Vec<(u32, SqlError)>,
     m: &mut ExecMetrics,
 ) {
+    let plans: Vec<FilterPlan<'_>> = filters.iter().map(|f| plan_filter(f, cols)).collect();
     let chunks = par::morsels(cfg, sel);
     note_parallel(m, cfg, chunks.len());
     let results = par::parallel_map(cfg, chunks, |_, chunk| {
         let mut local_sel = chunk.to_vec();
         let mut local_errors = Vec::new();
         let mut local_batches = 0u64;
-        for f in filters {
-            apply_filter(
-                f,
+        for plan in &plans {
+            apply_filter_plan(
+                plan,
                 cols,
                 arity,
                 &mut local_sel,
@@ -951,44 +993,17 @@ fn par_apply_filters(
 /// concatenation keeps output order, and the first `Err` in morsel order
 /// is the error of the earliest failing row (earlier morsels completed
 /// without one) — the same abort the sequential loop performs.
-#[allow(clippy::too_many_arguments)]
 fn par_materialize_project(
     cfg: &ExecConfig,
     rel: &ColRelation<'_>,
-    plans: &[(String, ItemPlan)],
-    key_plans: &[SortKeyPlan],
+    slots: &[Slot<'_>],
     needed: &[usize],
-    arity: usize,
-    n_keys: usize,
     m: &mut ExecMetrics,
 ) -> Result<Vec<Row>> {
     let chunks = par::morsels(cfg, &rel.sel);
     note_parallel(m, cfg, chunks.len());
-    let results = par::parallel_map(cfg, chunks, |_, chunk| -> Result<Vec<Row>> {
-        let mut scratch = vec![Value::Null; arity];
-        let mut rows = Vec::with_capacity(chunk.len());
-        for &s in chunk {
-            let p = s as usize;
-            for &c in needed {
-                scratch[c] = rel.cols[c].value_at(p);
-            }
-            let mut values = Vec::with_capacity(plans.len() + n_keys);
-            for (_, plan) in plans {
-                match plan {
-                    ItemPlan::Position(q) => values.push(rel.cols[*q].value_at(p)),
-                    ItemPlan::Expr(e) => values.push(e.eval(&scratch)?),
-                }
-            }
-            for kp in key_plans {
-                let key = match kp {
-                    SortKeyPlan::Output(q) => values[*q].clone(),
-                    SortKeyPlan::Input(e) => e.eval(&scratch)?,
-                };
-                values.push(key);
-            }
-            rows.push(Row::new(values));
-        }
-        Ok(rows)
+    let results = par::parallel_map(cfg, chunks, |_, chunk| {
+        materialize(rel, slots, needed, chunk)
     });
     let mut out = Vec::with_capacity(rel.sel.len());
     for r in results {
@@ -1027,7 +1042,7 @@ fn par_hash_join(
     rk: usize,
     kind: JoinKind,
     m: &mut ExecMetrics,
-) -> (Vec<u32>, Vec<Option<u32>>) {
+) -> (Vec<u32>, Vec<u32>) {
     let parts = cfg.workers.max(1);
     let partitions: Vec<HashMap<KeyValue<'_>, Vec<u32>>> =
         if par::should_parallelize(cfg, right.sel.len()) {
@@ -1069,7 +1084,7 @@ fn par_hash_join(
     note_parallel(m, cfg, chunks.len());
     let probed = par::parallel_map(cfg, chunks, |_, chunk| {
         let mut l: Vec<u32> = Vec::new();
-        let mut r: Vec<Option<u32>> = Vec::new();
+        let mut r: Vec<u32> = Vec::new();
         for &lp in chunk {
             let mut matched = false;
             if let Some(k) = left.cols[lk].key_at(lp as usize) {
@@ -1081,14 +1096,14 @@ fn par_hash_join(
                 if let Some(ms) = map.get(&k) {
                     for &rp in ms {
                         l.push(lp);
-                        r.push(Some(rp));
+                        r.push(rp);
                         matched = true;
                     }
                 }
             }
             if !matched && kind == JoinKind::LeftOuter {
                 l.push(lp);
-                r.push(None);
+                r.push(PAD);
             }
         }
         (l, r)
@@ -1101,6 +1116,10 @@ fn par_hash_join(
     }
     (lidx, ridx)
 }
+
+/// Right-side index of a LEFT OUTER output row with no match: its right
+/// columns are NULL. No relation reaches `u32::MAX` positions.
+const PAD: u32 = u32::MAX;
 
 /// Join two columnar relations. The hash path builds and probes on chunk
 /// values directly (dictionary strings are borrowed, never copied), collects
@@ -1117,7 +1136,7 @@ fn join_relations<'p>(
     let left_arity = left.bindings.arity();
     let right_arity = right.bindings.arity();
     let mut lidx: Vec<u32> = Vec::new();
-    let mut ridx: Vec<Option<u32>> = Vec::new();
+    let mut ridx: Vec<u32> = Vec::new();
     let mut joined = false;
 
     // Fast path: hash join on a simple column equality, build/probe keyed on
@@ -1141,14 +1160,14 @@ fn join_relations<'p>(
                             if let Some(ms) = table.get(&k) {
                                 for &rp in ms {
                                     lidx.push(lp);
-                                    ridx.push(Some(rp));
+                                    ridx.push(rp);
                                     matched = true;
                                 }
                             }
                         }
                         if !matched && kind == JoinKind::LeftOuter {
                             lidx.push(lp);
-                            ridx.push(None);
+                            ridx.push(PAD);
                         }
                     }
                 }
@@ -1182,18 +1201,26 @@ fn join_relations<'p>(
                 };
                 if keep {
                     lidx.push(lp);
-                    ridx.push(Some(rp));
+                    ridx.push(rp);
                     matched = true;
                 }
             }
             if !matched && kind == JoinKind::LeftOuter {
                 lidx.push(lp);
-                ridx.push(None);
+                ridx.push(PAD);
             }
         }
     }
 
     m.batches += n_batches(left.sel.len()) + n_batches(right.sel.len());
+    // Only NULL-padded LEFT OUTER rows need the optional-position gather;
+    // every other join gathers its right side like its left.
+    let padded: Option<Vec<Option<u32>>> = (kind == JoinKind::LeftOuter && ridx.contains(&PAD))
+        .then(|| ridx.iter().map(|&r| (r != PAD).then_some(r)).collect());
+    let gather_right = |c: &ColData<'p>| match &padded {
+        Some(opt) => c.gather_opt(opt),
+        None => c.gather(&ridx),
+    };
     let cfg = par::current_exec_config();
     let n_cols = left.cols.len() + right.cols.len();
     let cols: Vec<ColData<'p>> = if par::should_parallelize(&cfg, lidx.len()) && n_cols > 1 {
@@ -1205,7 +1232,7 @@ fn join_relations<'p>(
             if i < n_left {
                 left.cols[i].gather(&lidx)
             } else {
-                right.cols[i - n_left].gather_opt(&ridx)
+                gather_right(&right.cols[i - n_left])
             }
         })
     } else {
@@ -1214,7 +1241,7 @@ fn join_relations<'p>(
             cols.push(c.gather(&lidx));
         }
         for c in &right.cols {
-            cols.push(c.gather_opt(&ridx));
+            cols.push(gather_right(c));
         }
         cols
     };
@@ -1734,6 +1761,61 @@ mod tests {
                 }
                 (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{sql}"),
                 (a, b) => panic!("{sql}: row {a:?} vs columnar {b:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn two_bloom_conjuncts_match_the_row_interpreter() {
+        let filter = |keys: &[i64]| {
+            let mut f = crate::bloom::BloomFilter::with_capacity(keys.len());
+            for k in keys {
+                f.insert(&Value::Int(*k));
+            }
+            f.to_hex()
+        };
+        let (ids, dets) = (filter(&[1, 2, 3, 5]), filter(&[10, 30]));
+        let db = db();
+        let provider = DatabaseProvider(&db);
+        for (sql, want) in [
+            (
+                format!(
+                    "SELECT e_id FROM events \
+                     WHERE BLOOM_HAS(e_id, '{ids}') AND BLOOM_HAS(det_id, '{dets}')"
+                ),
+                Some(vec![1, 2, 5]),
+            ),
+            // A malformed payload errors on the first row it probes, in
+            // either conjunct, exactly as the row interpreter does.
+            (
+                format!(
+                    "SELECT e_id FROM events \
+                     WHERE BLOOM_HAS(e_id, '{ids}') AND BLOOM_HAS(det_id, 'abc')"
+                ),
+                None,
+            ),
+            (
+                "SELECT e_id FROM events WHERE BLOOM_HAS(e_id, 'zz') OR e_id > 3".to_string(),
+                None,
+            ),
+        ] {
+            let plan = optimize(
+                build_plan(&parse_select(&sql).unwrap()),
+                &ProviderCatalog(&provider),
+            );
+            let columnar = execute_plan(&plan, &provider);
+            let rowwise = crate::exec_row::execute_plan_rowwise(&plan, &provider);
+            match (columnar, rowwise, want) {
+                (Ok(c), Ok(r), Some(want)) => {
+                    assert_eq!(c, r, "{sql}");
+                    let got: Vec<Value> = c.rows.iter().map(|r| r.values()[0].clone()).collect();
+                    assert_eq!(got, want.into_iter().map(Value::Int).collect::<Vec<_>>());
+                }
+                (Err(c), Err(r), None) => {
+                    assert!(matches!(c, SqlError::Eval(_)), "{sql}: {c:?}");
+                    assert_eq!(c.to_string(), r.to_string(), "{sql}");
+                }
+                (c, r, _) => panic!("{sql}: columnar {c:?} vs row {r:?}"),
             }
         }
     }

@@ -16,8 +16,7 @@
 //!   before trusting the data slot.
 //! - String chunks are dictionary-encoded: the data vector holds `u32`
 //!   codes into a shared, append-only dictionary. Deleting rows never
-//!   shrinks the dictionary; `gather` (compaction) re-interns into a fresh
-//!   one.
+//!   shrinks the dictionary; `gather` shares it through its `Arc`.
 
 use crate::error::StorageError;
 use crate::value::{DataType, Value};
@@ -99,6 +98,39 @@ impl Bitmap {
     /// columns that are entirely non-NULL.
     pub fn any(&self) -> bool {
         self.ones > 0
+    }
+
+    /// The bits at `positions`, in order. A bitmap with no set bit gathers
+    /// to [`Bitmap::zeros`] without reading a position.
+    pub(crate) fn gather(&self, positions: &[u32]) -> Bitmap {
+        if !self.any() {
+            return Bitmap::zeros(positions.len());
+        }
+        Bitmap::from_fn(positions.len(), |i| self.get(positions[i] as usize))
+    }
+
+    /// [`Bitmap::gather`] with optional positions: a `None` slot is a set
+    /// bit (a NULL-padded row).
+    pub(crate) fn gather_opt(&self, positions: &[Option<u32>]) -> Bitmap {
+        Bitmap::from_fn(positions.len(), |i| {
+            positions[i].is_none_or(|p| self.get(p as usize))
+        })
+    }
+
+    /// A bitmap of `len` bits where bit `i` is `bit(i)`, built a word at a
+    /// time. Equal to pushing the same bits one by one.
+    fn from_fn(len: usize, mut bit: impl FnMut(usize) -> bool) -> Bitmap {
+        let mut words = Vec::with_capacity(len.div_ceil(64));
+        let mut ones = 0;
+        for base in (0..len).step_by(64) {
+            let mut word = 0u64;
+            for b in 0..(len - base).min(64) {
+                word |= (bit(base + b) as u64) << b;
+            }
+            ones += word.count_ones() as usize;
+            words.push(word);
+        }
+        Bitmap { words, len, ones }
     }
 
     /// Drop all positions.
@@ -403,104 +435,64 @@ impl ColumnChunk {
     }
 
     /// Gather `positions` into a new chunk (join outputs, compaction).
+    ///
+    /// Each typed lane is copied directly, slot by slot. A source with no
+    /// NULLs gathers to [`Bitmap::zeros`] without reading a bit per row.
     /// String chunks share the dictionary via `Arc` — no string copies.
     pub fn gather(&self, positions: &[u32]) -> ColumnChunk {
         match self {
-            ColumnChunk::Int { data, nulls } => {
-                let mut out = Vec::with_capacity(positions.len());
-                let mut on = Bitmap::new();
-                for &p in positions {
-                    out.push(data[p as usize]);
-                    on.push(nulls.get(p as usize));
-                }
-                ColumnChunk::Int {
-                    data: out,
-                    nulls: on,
-                }
-            }
-            ColumnChunk::Float { data, nulls } => {
-                let mut out = Vec::with_capacity(positions.len());
-                let mut on = Bitmap::new();
-                for &p in positions {
-                    out.push(data[p as usize]);
-                    on.push(nulls.get(p as usize));
-                }
-                ColumnChunk::Float {
-                    data: out,
-                    nulls: on,
-                }
-            }
-            ColumnChunk::Bool { data, nulls } => {
-                let mut out = Vec::with_capacity(positions.len());
-                let mut on = Bitmap::new();
-                for &p in positions {
-                    out.push(data[p as usize]);
-                    on.push(nulls.get(p as usize));
-                }
-                ColumnChunk::Bool {
-                    data: out,
-                    nulls: on,
-                }
-            }
-            ColumnChunk::Str { codes, dict, nulls } => {
-                let mut out = Vec::with_capacity(positions.len());
-                let mut on = Bitmap::new();
-                for &p in positions {
-                    out.push(codes[p as usize]);
-                    on.push(nulls.get(p as usize));
-                }
-                ColumnChunk::Str {
-                    codes: out,
-                    dict: Arc::clone(dict),
-                    nulls: on,
-                }
-            }
-            ColumnChunk::Bytes { data, nulls } => {
-                let mut out = Vec::with_capacity(positions.len());
-                let mut on = Bitmap::new();
-                for &p in positions {
-                    out.push(data[p as usize].clone());
-                    on.push(nulls.get(p as usize));
-                }
-                ColumnChunk::Bytes {
-                    data: out,
-                    nulls: on,
-                }
-            }
+            ColumnChunk::Int { data, nulls } => ColumnChunk::Int {
+                data: take(data, positions),
+                nulls: nulls.gather(positions),
+            },
+            ColumnChunk::Float { data, nulls } => ColumnChunk::Float {
+                data: take(data, positions),
+                nulls: nulls.gather(positions),
+            },
+            ColumnChunk::Bool { data, nulls } => ColumnChunk::Bool {
+                data: take(data, positions),
+                nulls: nulls.gather(positions),
+            },
+            ColumnChunk::Str { codes, dict, nulls } => ColumnChunk::Str {
+                codes: take(codes, positions),
+                dict: Arc::clone(dict),
+                nulls: nulls.gather(positions),
+            },
+            ColumnChunk::Bytes { data, nulls } => ColumnChunk::Bytes {
+                data: take(data, positions),
+                nulls: nulls.gather(positions),
+            },
         }
     }
 
-    /// Gather with optional positions: `None` produces a NULL slot. Used
-    /// for the unmatched side of LEFT OUTER joins.
+    /// Gather with optional positions: `None` produces a NULL slot (with
+    /// the placeholder `push(&Value::Null)` would store). Used for the
+    /// unmatched side of LEFT OUTER joins. Lanes are copied directly and
+    /// string chunks share the dictionary, as in [`ColumnChunk::gather`].
     pub fn gather_opt(&self, positions: &[Option<u32>]) -> ColumnChunk {
-        let mut out = Self::for_type(self.data_type());
-        // Share the dictionary instead of re-interning through `push`.
-        if let (ColumnChunk::Str { dict: od, .. }, ColumnChunk::Str { codes, dict, nulls }) =
-            (self, &mut out)
-        {
-            *dict = Arc::clone(od);
-            let (src_codes, _, src_nulls) = self.as_str().expect("str chunk");
-            for p in positions {
-                match p {
-                    Some(p) if !src_nulls.get(*p as usize) => {
-                        codes.push(src_codes[*p as usize]);
-                        nulls.push(false);
-                    }
-                    _ => {
-                        codes.push(0);
-                        nulls.push(true);
-                    }
-                }
-            }
-            return out;
+        match self {
+            ColumnChunk::Int { data, nulls } => ColumnChunk::Int {
+                data: take_opt(data, positions),
+                nulls: nulls.gather_opt(positions),
+            },
+            ColumnChunk::Float { data, nulls } => ColumnChunk::Float {
+                data: take_opt(data, positions),
+                nulls: nulls.gather_opt(positions),
+            },
+            ColumnChunk::Bool { data, nulls } => ColumnChunk::Bool {
+                data: take_opt(data, positions),
+                nulls: nulls.gather_opt(positions),
+            },
+            ColumnChunk::Str { codes, dict, nulls } => ColumnChunk::Str {
+                codes: take_opt(codes, positions),
+                dict: Arc::clone(dict),
+                nulls: nulls.gather_opt(positions),
+            },
+            ColumnChunk::Bytes { data, nulls } => ColumnChunk::Bytes {
+                data: take_opt(data, positions),
+                nulls: nulls.gather_opt(positions),
+            },
         }
-        for p in positions {
-            match p {
-                Some(p) => out.push(&self.value_at(*p as usize)),
-                None => out.push(&Value::Null),
-            }
-        }
-        out
     }
 
     /// Reset the chunk to empty (dictionaries are dropped too, so a
@@ -602,6 +594,22 @@ impl ColumnChunk {
     }
 }
 
+/// The lane slots at `positions`, in order.
+fn take<T: Clone>(data: &[T], positions: &[u32]) -> Vec<T> {
+    positions
+        .iter()
+        .map(|&p| data[p as usize].clone())
+        .collect()
+}
+
+/// The lane slots at `positions`; `None` takes the NULL placeholder.
+fn take_opt<T: Clone + Default>(data: &[T], positions: &[Option<u32>]) -> Vec<T> {
+    positions
+        .iter()
+        .map(|p| p.map_or_else(T::default, |p| data[p as usize].clone()))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -681,6 +689,145 @@ mod tests {
         assert_eq!(gf.value_at(0), Value::Null);
         assert_eq!(gf.value_at(1), Value::Float(1.5));
         assert_eq!(gf.value_at(2), Value::Null);
+    }
+
+    /// One column of each type, with or without NULLs, as plain values.
+    fn gather_sources(nullable: bool) -> Vec<Vec<Value>> {
+        let null_or = |i: usize, v: Value| {
+            if nullable && i % 3 == 1 {
+                Value::Null
+            } else {
+                v
+            }
+        };
+        // 70 slots: the bitmaps span two words.
+        (0..5)
+            .map(|ty| {
+                (0..70)
+                    .map(|i| {
+                        null_or(
+                            i,
+                            match ty {
+                                0 => Value::Int(i as i64 * 7 - 100),
+                                1 => Value::Float(i as f64 * 0.5 - 3.0),
+                                2 => Value::Bool(i % 2 == 0),
+                                3 => Value::Text(["a", "bb", "a", "ccc"][i % 4].into()),
+                                _ => Value::Bytes(vec![i as u8; i % 3]),
+                            },
+                        )
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn chunk_of(dt: DataType, vals: &[Value]) -> ColumnChunk {
+        let mut c = ColumnChunk::for_type(dt);
+        for v in vals {
+            c.push(v);
+        }
+        c
+    }
+
+    /// `got` holds the same lanes and bitmap as `want`; string chunks hold
+    /// the same strings (codes may differ: `want` re-interned them).
+    fn assert_same_chunk(got: &ColumnChunk, want: &ColumnChunk) {
+        match (got, want) {
+            (ColumnChunk::Int { data: a, nulls: na }, ColumnChunk::Int { data: b, nulls: nb }) => {
+                assert_eq!((a, na), (b, nb));
+            }
+            (
+                ColumnChunk::Float { data: a, nulls: na },
+                ColumnChunk::Float { data: b, nulls: nb },
+            ) => {
+                let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!((bits(a), na), (bits(b), nb));
+            }
+            (
+                ColumnChunk::Bool { data: a, nulls: na },
+                ColumnChunk::Bool { data: b, nulls: nb },
+            ) => {
+                assert_eq!((a, na), (b, nb));
+            }
+            (
+                ColumnChunk::Bytes { data: a, nulls: na },
+                ColumnChunk::Bytes { data: b, nulls: nb },
+            ) => {
+                assert_eq!((a, na), (b, nb));
+            }
+            (ColumnChunk::Str { nulls: na, .. }, ColumnChunk::Str { nulls: nb, .. }) => {
+                assert_eq!(na, nb);
+                for p in 0..got.len() {
+                    assert_eq!(got.str_at(p), want.str_at(p), "slot {p}");
+                }
+            }
+            (a, b) => panic!("type changed: {:?} vs {:?}", a.data_type(), b.data_type()),
+        }
+        assert_eq!(got.len(), want.len());
+    }
+
+    #[test]
+    fn gathers_equal_value_by_value_pushes() {
+        let positions: Vec<u32> = vec![69, 0, 1, 1, 64, 63, 7, 4, 2, 65];
+        let opt_positions: Vec<Option<u32>> = positions
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| (i % 4 != 2).then_some(p))
+            .collect();
+        for nullable in [false, true] {
+            for vals in gather_sources(nullable) {
+                let dt = vals.iter().find_map(Value::data_type).expect("typed");
+                let src = chunk_of(dt, &vals);
+                let ones = |c: &ColumnChunk| match c {
+                    ColumnChunk::Int { nulls, .. }
+                    | ColumnChunk::Float { nulls, .. }
+                    | ColumnChunk::Bool { nulls, .. }
+                    | ColumnChunk::Str { nulls, .. }
+                    | ColumnChunk::Bytes { nulls, .. } => nulls.count_ones(),
+                };
+                assert_eq!(ones(&src) > 0, nullable);
+
+                let g = src.gather(&positions);
+                let want: Vec<Value> = positions
+                    .iter()
+                    .map(|&p| vals[p as usize].clone())
+                    .collect();
+                assert_same_chunk(&g, &chunk_of(dt, &want));
+                assert_eq!(ones(&g), want.iter().filter(|v| v.is_null()).count());
+
+                let go = src.gather_opt(&opt_positions);
+                let want: Vec<Value> = opt_positions
+                    .iter()
+                    .map(|p| p.map_or(Value::Null, |p| vals[p as usize].clone()))
+                    .collect();
+                assert_same_chunk(&go, &chunk_of(dt, &want));
+                assert_eq!(ones(&go), want.iter().filter(|v| v.is_null()).count());
+
+                // Str gathers share the source dictionary, never copy it.
+                if let (
+                    ColumnChunk::Str { dict: d0, .. },
+                    ColumnChunk::Str { dict: d1, .. },
+                    ColumnChunk::Str { dict: d2, .. },
+                ) = (&src, &g, &go)
+                {
+                    assert!(Arc::ptr_eq(d0, d1) && Arc::ptr_eq(d0, d2));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gathers_of_empty_and_all_none_positions() {
+        let src = chunk_of(DataType::Int, &[Value::Int(1), Value::Int(2)]);
+        assert!(src.gather(&[]).is_empty());
+        let go = src.gather_opt(&[None, None, None]);
+        assert_same_chunk(
+            &go,
+            &chunk_of(DataType::Int, &[Value::Null, Value::Null, Value::Null]),
+        );
+        let bm = Bitmap::zeros(3);
+        assert_eq!(bm.gather(&[0, 2]), Bitmap::zeros(2));
+        assert_eq!(bm.gather_opt(&[Some(1), None]).count_ones(), 1);
     }
 
     #[test]

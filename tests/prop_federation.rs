@@ -137,3 +137,89 @@ proptest! {
         }
     }
 }
+
+/// A `BLOOM_HAS` payload: a filter over `keys`, then one mutation —
+/// 1 odd length, 2 a non-hex digit, 3 a non-power-of-two byte count,
+/// 4 one byte too many, 5 empty, 6 a random alphanumeric string, and
+/// none for any other value.
+fn bloom_payload(keys: &[i64], mutation: usize, at: usize, noise: &[usize]) -> String {
+    const DIGITS: &[u8] = b"0123456789abcdefABCDEFgxyz-";
+    let mut f = gridfed::sqlkit::bloom::BloomFilter::with_capacity(keys.len());
+    for k in keys {
+        f.insert(&Value::Int(*k));
+    }
+    let mut hex = f.to_hex();
+    match mutation {
+        1 => {
+            hex.pop();
+        }
+        2 => {
+            let i = at % hex.len();
+            hex.replace_range(i..i + 1, ["g", "z", " ", "-"][at % 4]);
+        }
+        3 => hex.truncate(6),
+        4 => hex.push_str("00"),
+        5 => hex.clear(),
+        6 => {
+            hex = noise
+                .iter()
+                .map(|&i| DIGITS[i % DIGITS.len()] as char)
+                .collect()
+        }
+        _ => {}
+    }
+    hex
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Untrusted `BLOOM_HAS` payloads sent through the mediator: a valid
+    /// filter selects exactly the rows it admits; any malformed payload is a
+    /// typed SQL error naming the payload, raised only when some row has a
+    /// non-NULL operand — never a panic.
+    #[test]
+    fn bloom_payloads_give_rows_or_typed_errors(
+        raw_events in prop::collection::vec((0i64..40, 0i64..6, -100.0f64..100.0), 0..20),
+        keys in prop::collection::vec(0i64..8, 0..12),
+        mutation in 0usize..12,
+        at in 0usize..1000,
+        noise in prop::collection::vec(0usize..100, 0..20),
+    ) {
+        let events = dedup_by_key(&raw_events, |(id, _, _)| *id);
+        let fed = build_fed(&events, &[]);
+        let payload = bloom_payload(&keys, mutation, at, &noise);
+        let sql = format!("SELECT id FROM events WHERE BLOOM_HAS(run, '{payload}') ORDER BY id");
+        match (
+            gridfed::sqlkit::bloom::BloomFilter::from_hex(&payload),
+            fed.das.query(&sql),
+        ) {
+            (Ok(filter), Ok(out)) => {
+                let mut want: Vec<i64> = events
+                    .iter()
+                    .filter(|(_, run, _)| filter.might_contain(&Value::Int(*run)))
+                    .map(|(id, _, _)| *id)
+                    .collect();
+                want.sort_unstable();
+                let got: Vec<Value> = out.value.result.rows.iter().map(|r| r.values()[0].clone()).collect();
+                let want: Vec<Value> = want.into_iter().map(Value::Int).collect();
+                prop_assert_eq!(got, want, "rows for `{}`", sql);
+            }
+            (Err(_), Ok(out)) => {
+                // Nothing to probe: the payload is never decoded per row.
+                prop_assert!(events.is_empty(), "`{}` accepted a malformed payload", sql);
+                prop_assert!(out.value.result.rows.is_empty());
+            }
+            (Err(decode), Err(err)) => {
+                prop_assert!(!events.is_empty(), "`{}` failed on an empty table: {}", sql, err);
+                prop_assert!(
+                    err.to_string().contains(&decode),
+                    "`{}`: expected the decode error `{}`, got {:?}", sql, decode, err
+                );
+            }
+            (Ok(_), Err(err)) => {
+                return Err(TestCaseError::fail(format!("`{sql}` failed on a valid payload: {err}")));
+            }
+        }
+    }
+}
